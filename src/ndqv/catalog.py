@@ -70,56 +70,47 @@ def build_strategy(name: str, theta: float | None = None) -> Strategy:
     raise ValueError(f"unknown strategy {name!r}")
 
 
-def sequential_bell() -> SequentialProtocol:
-    strat = strategies.bell_minimal()
+def _from_strategy(strat: Strategy, label: str, circuits=None) -> SequentialProtocol:
+    """Run a strategy's settings in sequence, in the order it lists them."""
     protocol = seq.compose_sequential(
         strat.target,
         [s.projector for s in strat.settings],
         labels=[s.label for s in strat.settings],
-        label="bell_sequential",
+        label=label,
+        theta=strat.theta,
     )
-    protocol.circuits = circ.compile_bell()
+    protocol.circuits = circuits
     return protocol
+
+
+def sequential_bell() -> SequentialProtocol:
+    return _from_strategy(
+        strategies.bell_minimal(), "bell_sequential", circ.compile_bell()
+    )
 
 
 def sequential_two_qubit(theta: float, variant: str = "toffoli") -> SequentialProtocol:
-    strat = strategies.two_qubit_three(theta)
-    protocol = seq.compose_sequential(
-        strat.target,
-        [s.projector for s in strat.settings],
-        labels=[s.label for s in strat.settings],
-        label=f"two_qubit_sequential_{variant}",
-        theta=theta,
+    return _from_strategy(
+        strategies.two_qubit_three(theta),
+        f"two_qubit_sequential_{variant}",
+        circ.compile_two_qubit(theta, variant),
     )
-    protocol.circuits = circ.compile_two_qubit(theta, variant)
-    return protocol
 
 
 def sequential_ghz3() -> SequentialProtocol:
     spec = states.StabilizerGroupSpec(("+XXX", "+ZIZ", "+ZZI"))
-    strat = strategies.stabilizer_generators(spec)
-    protocol = seq.compose_sequential(
-        strat.target,
-        [s.projector for s in strat.settings],
-        labels=[s.label for s in strat.settings],
-        label="ghz3_sequential",
+    return _from_strategy(
+        strategies.stabilizer_generators(spec), "ghz3_sequential", circ.compile_ghz3()
     )
-    protocol.circuits = circ.compile_ghz3()
-    return protocol
 
 
 def sequential_adaptive(theta: float) -> SequentialProtocol:
-    strat = strategies.adaptive_two(theta)
-    protocol = seq.compose_sequential(
-        strat.target,
-        [s.projector for s in strat.settings],
-        labels=[s.label for s in strat.settings],
-        label="adaptive_sequential",
-        theta=theta,
-    )
     parity = circ.compile_bell()[0]
-    protocol.circuits = [parity, circ.compile_adaptive(theta)]
-    return protocol
+    return _from_strategy(
+        strategies.adaptive_two(theta),
+        "adaptive_sequential",
+        [parity, circ.compile_adaptive(theta)],
+    )
 
 
 def sequential_ghz(n: int) -> SequentialProtocol:
@@ -127,13 +118,7 @@ def sequential_ghz(n: int) -> SequentialProtocol:
     if n == 3:
         return sequential_ghz3()
     spec = strategies.ghz_generator_spec(n)
-    strat = strategies.stabilizer_generators(spec)
-    return seq.compose_sequential(
-        strat.target,
-        [s.projector for s in strat.settings],
-        labels=[s.label for s in strat.settings],
-        label=f"ghz{n}_sequential",
-    )
+    return _from_strategy(strategies.stabilizer_generators(spec), f"ghz{n}_sequential")
 
 
 def build_sequential(

@@ -61,7 +61,7 @@ def _result(name: str, dev: float, tol: float, extra: str = "") -> CheckResult:
     note = f"max deviation {dev:.3e} (tol {tol:.0e})"
     if extra:
         note += f"; {extra}"
-    return CheckResult(name=name, passed=dev <= tol, detail=note)
+    return CheckResult(name=name, passed=bool(dev <= tol), detail=note)
 
 
 def _random_density(dim: int, seed: int) -> np.ndarray:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -49,8 +49,19 @@ class ExperimentSpec:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
+        self.n_copies = _as_int("n_copies", self.n_copies)
         if self.n_copies < 1:
             raise ValueError("n_copies must be at least 1")
+        self.seed = _as_int("seed", self.seed)
+        if not 0 <= self.seed < 2**128:
+            raise ValueError(f"seed must lie in [0, 2**128), got {self.seed}")
+
+
+def _as_int(name: str, value) -> int:
+    """An integer argument as a plain int; bools and non-integers are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -203,13 +214,11 @@ def _sequential_member_probs(protocol: SequentialProtocol, members) -> np.ndarra
     Valid because a pure source makes every post-pass state deterministic,
     so each stage reduces to a single Bernoulli threshold.
     """
-    e0 = np.array([1.0, 0.0], dtype=complex)
     probs = np.empty((len(members), len(protocol.settings)))
     for m_idx, (_, vec) in enumerate(members):
         cur = vec
         for i, setting in enumerate(protocol.settings):
-            w = setting.m_pass @ np.kron(cur, e0)
-            block = w.reshape(-1, 2)[:, 0]
+            block = setting.projector @ cur
             p = float(np.real(np.vdot(block, block)))
             p = min(max(p, 0.0), 1.0)
             probs[m_idx, i] = p
@@ -437,27 +446,7 @@ _CSV_FIELDS = (
 
 
 def report_to_dict(report: RunReport) -> dict:
-    return {
-        "schema": report.schema,
-        "protocol_label": report.protocol_label,
-        "protocol_kind": report.protocol_kind,
-        "backend": report.backend,
-        "mode": report.mode,
-        "noise_kind": report.noise_kind,
-        "epsilon": report.epsilon,
-        "seed": report.seed,
-        "nu": report.nu,
-        "n_requested": report.n_requested,
-        "n_run": report.n_run,
-        "n_pass": report.n_pass,
-        "frequency": report.frequency,
-        "per_setting_attempts": list(report.per_setting_attempts),
-        "per_setting_passes": list(report.per_setting_passes),
-        "delta_exponential": report.delta_exponential,
-        "delta_chernoff": report.delta_chernoff,
-        "fidelity_estimate": report.fidelity_estimate,
-        "verdict": report.verdict,
-    }
+    return asdict(report)
 
 
 def report_to_json(report: RunReport) -> str:

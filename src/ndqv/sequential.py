@@ -8,6 +8,7 @@ one effective projector on the system.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -30,8 +31,8 @@ _P1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _FLIP01 = _P0 @ _X  # |0><1| on the ancilla
 
-# Full-register operators grow as 2^l; past this many settings the engine
-# falls back to applying one ancilla at a time.
+# Full-register operators grow as 2^l; past this many settings they are
+# refused and conditional_equivalence lifts one ancilla at a time instead.
 MAX_MATERIALIZED_SETTINGS = 6
 
 NEVER_PASSES_CUTOFF = 1e-14
@@ -39,13 +40,44 @@ NEVER_PASSES_CUTOFF = 1e-14
 
 @dataclass(frozen=True)
 class QndSetting:
-    """A pass test lifted to a nondemolition measurement on system + ancilla."""
+    """A projective pass test, run as a nondemolition measurement.
+
+    Only the projector is stored. The coupling to its ancilla and the two
+    branch operators on system + ancilla are derived and validated on first
+    access; the engine itself applies the projector to the system alone.
+    """
 
     label: str
     projector: np.ndarray
-    unitary: np.ndarray
-    m_pass: np.ndarray
-    m_fail: np.ndarray
+
+    @functools.cached_property
+    def _lifted(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        omega = self.projector
+        eye = linalg.identity(omega.shape[0])
+        u = linalg.kron(omega, np.eye(2, dtype=complex)) + linalg.kron(eye - omega, _X)
+        m_pass = linalg.kron(eye, _P0) @ u
+        m_fail = linalg.kron(eye, _P1) @ u
+        if not linalg.is_unitary(u):
+            raise ValueError("coupling unitary failed validation")
+        total = linalg.dagger(m_pass) @ m_pass + linalg.dagger(m_fail) @ m_fail
+        if linalg.max_abs(total - linalg.identity(u.shape[0])) > linalg.ATOL_STRUCTURAL:
+            raise ValueError("pass/fail branches are not a complete instrument")
+        return u, m_pass, m_fail
+
+    @property
+    def unitary(self) -> np.ndarray:
+        """Coupling U = Omega (x) I + (I - Omega) (x) X on system + ancilla."""
+        return self._lifted[0]
+
+    @property
+    def m_pass(self) -> np.ndarray:
+        """Pass branch: ancilla read as 0 after the coupling."""
+        return self._lifted[1]
+
+    @property
+    def m_fail(self) -> np.ndarray:
+        """Fail branch: ancilla read as 1 after the coupling."""
+        return self._lifted[2]
 
 
 def build_qnd_setting(projector: np.ndarray, label: str = "") -> QndSetting:
@@ -57,19 +89,7 @@ def build_qnd_setting(projector: np.ndarray, label: str = "") -> QndSetting:
     omega = linalg.as_matrix(projector)
     if not linalg.is_projector(omega):
         raise ValueError("QND coupling requires a projector")
-    dim = omega.shape[0]
-    eye = linalg.identity(dim)
-    u = linalg.kron(omega, np.eye(2, dtype=complex)) + linalg.kron(eye - omega, _X)
-    m_pass = linalg.kron(eye, _P0) @ u
-    m_fail = linalg.kron(eye, _P1) @ u
-    if not linalg.is_unitary(u):
-        raise ValueError("coupling unitary failed validation")
-    total = linalg.dagger(m_pass) @ m_pass + linalg.dagger(m_fail) @ m_fail
-    if linalg.max_abs(total - linalg.identity(2 * dim)) > linalg.ATOL_STRUCTURAL:
-        raise ValueError("pass/fail branches are not a complete instrument")
-    return QndSetting(
-        label=label, projector=omega, unitary=u, m_pass=m_pass, m_fail=m_fail
-    )
+    return QndSetting(label=label, projector=omega)
 
 
 @dataclass
@@ -255,6 +275,18 @@ def conditional_equivalence(protocol: SequentialProtocol, sigma: np.ndarray) -> 
     return dev
 
 
+def _passed_states(protocol: SequentialProtocol, sig: np.ndarray):
+    """Yield sigma, then the unnormalized system state after each passed stage.
+
+    On the pass branch the ancilla ends in |0> and the system copy becomes
+    Omega sigma Omega, so every stage is applied to the system alone.
+    """
+    yield sig
+    for s in protocol.settings:
+        sig = s.projector @ sig @ linalg.dagger(s.projector)
+        yield sig
+
+
 def fidelity_transform(
     protocol: SequentialProtocol, sigma: np.ndarray
 ) -> tuple[float, np.ndarray | None]:
@@ -269,21 +301,7 @@ def fidelity_transform(
         raise ValueError("sigma must be a density matrix")
     if sig.shape[0] != protocol.target.dim:
         raise ValueError("sigma dimension does not match the target register")
-    l = len(protocol.settings)
-    dim = protocol.target.dim
-    if l <= MAX_MATERIALIZED_SETTINGS:
-        m = full_operator(protocol)
-        anc0 = linalg.kron_all(*([_P0] * l))
-        out = m @ linalg.kron(sig, anc0) @ linalg.dagger(m)
-        prob = float(np.real(np.trace(out)))
-        if prob < NEVER_PASSES_CUTOFF:
-            return prob, None
-        post = linalg.partial_trace(out / prob, (dim, 2**l), keep=0)
-        return prob, post
-    current = sig
-    for s in protocol.settings:
-        lifted = s.m_pass @ linalg.kron(current, _P0) @ linalg.dagger(s.m_pass)
-        current = linalg.partial_trace(lifted, (dim, 2), keep=0)
+    *_, current = _passed_states(protocol, sig)
     prob = float(np.real(np.trace(current)))
     if prob < NEVER_PASSES_CUTOFF:
         return prob, None
@@ -298,21 +316,16 @@ def stage_pass_probabilities(
     Probabilities below the never-passes cutoff terminate the list (later
     stages are unreachable and padded with zeros).
     """
-    sig = linalg.as_matrix(sigma)
     probs: list[float] = []
-    current = sig
-    dim = protocol.target.dim
-    for s in protocol.settings:
-        lifted = s.m_pass @ linalg.kron(current, _P0) @ linalg.dagger(s.m_pass)
-        reduced = linalg.partial_trace(lifted, (dim, 2), keep=0)
-        total = float(np.real(np.trace(current)))
-        passed = float(np.real(np.trace(reduced)))
+    for before, after in itertools.pairwise(
+        _passed_states(protocol, linalg.as_matrix(sigma))
+    ):
+        total = float(np.real(np.trace(before)))
+        passed = float(np.real(np.trace(after)))
         if total < NEVER_PASSES_CUTOFF:
             probs.append(0.0)
-            current = reduced
-            continue
-        probs.append(min(max(passed / total, 0.0), 1.0))
-        current = reduced
+        else:
+            probs.append(min(max(passed / total, 0.0), 1.0))
     return probs
 
 

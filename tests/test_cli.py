@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from ndqv import circuits as circ
+from ndqv import checks, circuits as circ
 from ndqv.cli import main
 
 
@@ -249,3 +249,11 @@ def test_check_json_format(capsys):
     code, _, err = run_cli(capsys, "check", "unknown_check")
     assert code == 2
     assert "unknown check" in err
+
+
+def test_check_full_registry_as_json(capsys):
+    code, out, _ = run_cli(capsys, "check", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert [r["name"] for r in payload] == checks.check_names()
+    assert all(r["passed"] is True for r in payload)

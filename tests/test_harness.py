@@ -120,6 +120,33 @@ def test_spec_validation():
         harness.ExperimentSpec(strat, _pure(), 0, 1)
 
 
+@pytest.mark.parametrize(
+    "n_copies, seed, bad",
+    [
+        (10, 1.5, "seed"),
+        (10, True, "seed"),
+        (10, -1, "seed"),
+        (10, 2**128, "seed"),
+        (10, "1", "seed"),
+        (True, 1, "n_copies"),
+        (50.7, 1, "n_copies"),
+        ("5", 1, "n_copies"),
+        (np.bool_(True), 1, "n_copies"),
+    ],
+)
+def test_spec_rejects_bad_integers(n_copies, seed, bad):
+    strat = catalog.build_strategy("bell")
+    with pytest.raises(ValueError, match=bad):
+        harness.ExperimentSpec(strat, _pure(), n_copies, seed)
+
+
+def test_spec_stores_numpy_integers_as_int():
+    strat = catalog.build_strategy("bell")
+    spec = harness.ExperimentSpec(strat, _pure(), np.int64(10), np.uint64(2**64 - 1))
+    assert type(spec.n_copies) is int and spec.n_copies == 10
+    assert type(spec.seed) is int and spec.seed == 2**64 - 1
+
+
 def test_circuit_backend_needs_sequential():
     strat = catalog.build_strategy("bell")
     spec = harness.ExperimentSpec(strat, _pure(), 10, 1, backend="circuit")

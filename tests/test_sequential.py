@@ -1,12 +1,14 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
 
-from ndqv import catalog, linalg
+from ndqv import catalog, harness, linalg
 from ndqv import sequential as seq
 from ndqv import states, strategies
+from ndqv.states import NoiseSpec
 
 
 def random_density(dim, seed):
@@ -40,6 +42,67 @@ def test_qnd_setting_structure():
     e0 = np.array([1.0, 0.0], dtype=complex)
     out = setting.m_pass @ np.kron(psi, e0)
     assert linalg.max_abs(out - np.kron(psi, e0)) < 1e-12
+
+
+def test_lifted_matrices_are_built_on_first_access_only():
+    setting = seq.build_qnd_setting(bell_projectors()[0])
+    assert set(vars(setting)) == {"label", "projector"}
+    assert setting.m_pass is setting.m_pass
+    assert "_lifted" in vars(setting)
+
+
+def test_runs_never_build_lifted_matrices():
+    protocol = catalog.build_sequential("ghz9")
+    noise = NoiseSpec("worst_case_orthogonal", 0.05)
+    spec = harness.ExperimentSpec(protocol, noise, 200, 4, mode="count_frequency")
+    harness.run_experiment(spec)
+    sigma = protocol.target.projector()
+    seq.fidelity_transform(protocol, sigma)
+    seq.stage_pass_probabilities(protocol, sigma)
+    for setting in protocol.settings:
+        assert set(vars(setting)) == {"label", "projector"}
+
+
+def _lifted_member_probs(protocol, members):
+    """Stage probabilities through each setting's pass branch on system + ancilla."""
+    e0 = np.array([1.0, 0.0], dtype=complex)
+    probs = np.empty((len(members), len(protocol.settings)))
+    for m_idx, (_, vec) in enumerate(members):
+        cur = vec
+        for i, setting in enumerate(protocol.settings):
+            block = (setting.m_pass @ np.kron(cur, e0)).reshape(-1, 2)[:, 0]
+            p = min(max(float(np.real(np.vdot(block, block))), 0.0), 1.0)
+            probs[m_idx, i] = p
+            cur = block / math.sqrt(p) if p > 1e-14 else block
+    return probs
+
+
+@pytest.mark.parametrize(
+    "noise",
+    [
+        NoiseSpec("depolarizing", 0.05),
+        NoiseSpec("worst_case_orthogonal", 0.05),
+        NoiseSpec("random_orthogonal", 0.2, seed=11),
+    ],
+    ids=lambda n: n.kind,
+)
+@pytest.mark.parametrize(
+    "name, theta",
+    [("bell", None), ("two_qubit_three", 0.55), ("ghz3", None),
+     ("adaptive_two", 0.55), ("ghz7", None)],
+)
+def test_member_probs_match_the_lifted_pass_branch(name, theta, noise):
+    protocol = catalog.build_sequential(name, theta)
+    witness = seq.protocol_gap(protocol).witness
+    members = harness._source_ensemble(protocol, noise, witness)
+    got = harness._sequential_member_probs(protocol, members)
+    want = _lifted_member_probs(protocol, members)
+    if noise.kind == "depolarizing" and theta is None:
+        # Stabilizer projectors on stabilizer-state members: every sum is
+        # exact, so the summation order cannot change a bit.
+        assert np.array_equal(got, want)
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-15
 
 
 def test_compose_rejects_nonfixing_projector():
