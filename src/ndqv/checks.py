@@ -90,6 +90,11 @@ def _check_rng() -> CheckResult:
     for c in range(6):
         for k in range(5):
             dev = max(dev, abs(table[c, k] - rngmod.slot_uniform(11, c, k, 5)))
+    # A block drawn from a nonzero start advances the counter on its own.
+    rows = rngmod.uniform_rows(11, 3, 6, 5)
+    for c in range(3, 6):
+        for k in range(5):
+            dev = max(dev, abs(rows[c - 3, k] - rngmod.slot_uniform(11, c, k, 5)))
     other = rngmod.uniform_table(12, 6, 5)
     distinct = not np.array_equal(table, other)
     return _result(

@@ -4,13 +4,18 @@ A run draws source copies, pushes each through the chosen protocol on the
 chosen backend, and reports pass statistics together with the confidence
 bounds they support. Runs are reproducible: the same ExperimentSpec always
 yields the same report because every random decision reads a fixed
-counter-indexed slot (see rng.uniform_table).
+counter-indexed slot (see rng.uniform_rows).
 
-Slot layout per copy: slot 0 selects the source ensemble member (consumed
-only for depolarizing noise but always reserved), then each measurement
-setting owns its event slots in protocol order. Matrix-backend settings use
-one slot each; circuit-backend settings use one slot per recorded event,
-so a branching circuit uses two.
+Slot layout per copy: slot 0 selects the source ensemble member (a pure
+source has one member, so only depolarizing noise makes it matter), then
+each measurement setting owns its event slots in protocol order.
+Matrix-backend settings use one slot each; circuit-backend settings use one
+slot per recorded event, so a branching circuit uses two.
+
+The matrix backend draws and decides its slots one chunk of consecutive
+copies at a time and adds the counts up, so its memory is bounded per chunk
+and a stop_on_fail run draws nothing past the chunk of its first failure.
+The circuit backend draws its whole table up front.
 """
 from __future__ import annotations
 
@@ -31,6 +36,10 @@ Z_95 = 1.959963984540054
 
 MODES = ("stop_on_fail", "count_frequency")
 BACKENDS = ("matrix", "circuit")
+
+# Kept uniforms per matrix-backend chunk; the draw behind them is 4x as many
+# raw Philox doubles, about 1 MB.
+_CHUNK_UNIFORMS = 2**15
 
 
 @dataclass
@@ -226,14 +235,16 @@ def _sequential_member_probs(protocol: SequentialProtocol, members) -> np.ndarra
     return probs
 
 
-def _member_column(noise: NoiseSpec, weights, u_col: np.ndarray) -> np.ndarray:
-    """Map slot-0 uniforms to ensemble member indices (searchsorted on cdf)."""
-    if noise.kind != "depolarizing":
-        return np.zeros(len(u_col), dtype=np.intp)
-    cdf = np.cumsum(np.asarray(weights))
+def _cdf(weights) -> np.ndarray:
+    """Cumulative weights with the last entry pinned to 1."""
+    cdf = np.cumsum(np.asarray(weights, dtype=float))
     cdf[-1] = 1.0
-    idx = np.searchsorted(cdf, u_col, side="right")
-    return np.minimum(idx, len(weights) - 1)
+    return cdf
+
+
+def _pick(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Map uniforms to indices of the cumulative weights (searchsorted on cdf)."""
+    return np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
 
 
 def _circuit_event_slots(circuit: circ.Circuit) -> int:
@@ -273,53 +284,70 @@ def _counts_from_bits(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     return through[:, -1], attempts, passes
 
 
+def _member_cdf(members) -> np.ndarray:
+    """Cumulative member weights, which slot 0 picks from."""
+    return _cdf([w for w, _ in members])
+
+
+def _strategy_decider(protocol: Strategy, members):
+    """Per-chunk decision of a sampled strategy: slot 1 picks the setting."""
+    probs = _strategy_member_probs(protocol, members)
+    member_cdf = _member_cdf(members)
+    setting_cdf = _cdf([float(s.weight) for s in protocol.settings])
+    l = len(protocol.settings)
+
+    def decide(u: np.ndarray):
+        setting_idx = _pick(setting_cdf, u[:, 1])
+        passed = u[:, 2] < probs[_pick(member_cdf, u[:, 0]), setting_idx]
+        attempts = np.bincount(setting_idx, minlength=l)
+        return passed, attempts, np.bincount(setting_idx[passed], minlength=l)
+
+    return decide
+
+
+def _sequential_decider(protocol: SequentialProtocol, members):
+    """Per-chunk decision of a sequential protocol: one slot per stage."""
+    probs = _sequential_member_probs(protocol, members)
+    member_cdf = _member_cdf(members)
+
+    def decide(u: np.ndarray):
+        return _counts_from_bits(u[:, 1:] < probs[_pick(member_cdf, u[:, 0])])
+
+    return decide
+
+
 def _run_matrix(spec: ExperimentSpec, members, slots: int):
     protocol = spec.protocol
-    kind = _protocol_kind(protocol)
-    n = spec.n_copies
-    table = rngmod.uniform_table(spec.seed, n, slots)
-    weights = [w for w, _ in members]
-    member_idx = _member_column(spec.noise, weights, table[:, 0])
-
-    if kind == "strategy":
-        probs = _strategy_member_probs(protocol, members)
-        mu = np.array([float(s.weight) for s in protocol.settings])
-        cdf = np.cumsum(mu)
-        cdf[-1] = 1.0
-        setting_idx = np.minimum(
-            np.searchsorted(cdf, table[:, 1], side="right"), len(mu) - 1
-        )
-        passed = table[:, 2] < probs[member_idx, setting_idx]
-        if spec.mode == "stop_on_fail":
-            fails = np.nonzero(~passed)[0]
-            n_run = int(fails[0]) + 1 if fails.size else n
-            passed = passed[:n_run]
-            setting_idx = setting_idx[:n_run]
-        else:
-            n_run = n
-        l = len(protocol.settings)
-        attempts = np.bincount(setting_idx, minlength=l)
-        passes = np.bincount(setting_idx[passed], minlength=l)
-        return n_run, int(passed.sum()), attempts.tolist(), passes.tolist()
-
-    probs = _sequential_member_probs(protocol, members)
-    bits = table[:, 1:] < probs[member_idx, :]
-    copy_ok, attempts, passes = _counts_from_bits(bits)
-    if spec.mode == "stop_on_fail":
-        fails = np.nonzero(~copy_ok)[0]
-        n_run = int(fails[0]) + 1 if fails.size else n
-        copy_ok, attempts, passes = _counts_from_bits(bits[:n_run])
+    if _protocol_kind(protocol) == "strategy":
+        decide = _strategy_decider(protocol, members)
     else:
-        n_run = n
-    return n_run, int(copy_ok.sum()), attempts.tolist(), passes.tolist()
+        decide = _sequential_decider(protocol, members)
+
+    n = spec.n_copies
+    rows = max(1, _CHUNK_UNIFORMS // slots)
+    n_run = n_pass = 0
+    attempts = passes = np.zeros(len(protocol.settings), dtype=np.int64)
+    for start in range(0, n, rows):
+        u = rngmod.uniform_rows(spec.seed, start, min(start + rows, n), slots)
+        copy_ok, chunk_attempts, chunk_passes = decide(u)
+        stop = spec.mode == "stop_on_fail" and not copy_ok.all()
+        if stop:
+            u = u[: int(np.argmin(copy_ok)) + 1]
+            copy_ok, chunk_attempts, chunk_passes = decide(u)
+        n_run += len(u)
+        n_pass += int(copy_ok.sum())
+        attempts = attempts + chunk_attempts
+        passes = passes + chunk_passes
+        if stop:
+            break
+    return n_run, n_pass, attempts.tolist(), passes.tolist()
 
 
 def _run_circuit(spec: ExperimentSpec, members, slots: int, slot_spans):
     protocol = spec.protocol
     n = spec.n_copies
     table = rngmod.uniform_table(spec.seed, n, slots)
-    weights = [w for w, _ in members]
-    member_idx = _member_column(spec.noise, weights, table[:, 0])
+    member_idx = _pick(_member_cdf(members), table[:, 0])
 
     l = len(protocol.circuits)
     attempts = [0] * l

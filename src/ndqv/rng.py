@@ -2,8 +2,10 @@
 
 Each Monte Carlo trial owns a fixed set of slots (source draw, one draw per
 measurement event). Slot k of copy c reads the first double of Philox counter
-blockc * slots + k, so draws are independent of evaluation order and the
-whole table can be produced in a single vectorized call.
+block c * slots + k, so draws are independent of evaluation order: any run of
+consecutive copies can be drawn on its own by advancing the counter to its
+first block, and drawing it in pieces gives the same numbers as drawing it
+whole.
 """
 from __future__ import annotations
 
@@ -23,11 +25,19 @@ def slot_uniform(seed: int, copy: int, slot: int, slots_per_copy: int) -> float:
     return float(np.random.Generator(bg).random())
 
 
-def uniform_table(seed: int, n_copies: int, slots_per_copy: int) -> np.ndarray:
-    """All trial uniforms at once, shape (n_copies, slots_per_copy).
+def uniform_rows(seed: int, start: int, stop: int, slots_per_copy: int) -> np.ndarray:
+    """Uniforms of copies start..stop-1, shape (stop - start, slots_per_copy).
 
-    Row c column k equals ``slot_uniform(seed, c, k, slots_per_copy)``.
+    Row r column k equals ``slot_uniform(seed, start + r, k, slots_per_copy)``.
     """
+    if not 0 <= start <= stop:
+        raise ValueError(f"copy range [{start}, {stop}) is not a valid range")
     bg = np.random.Philox(key=seed)
-    raw = np.random.Generator(bg).random(_BLOCK * n_copies * slots_per_copy)
-    return raw[0::_BLOCK].reshape(n_copies, slots_per_copy)
+    bg.advance(start * slots_per_copy)
+    raw = np.random.Generator(bg).random(_BLOCK * (stop - start) * slots_per_copy)
+    return raw[0::_BLOCK].reshape(stop - start, slots_per_copy)
+
+
+def uniform_table(seed: int, n_copies: int, slots_per_copy: int) -> np.ndarray:
+    """All trial uniforms at once, shape (n_copies, slots_per_copy)."""
+    return uniform_rows(seed, 0, n_copies, slots_per_copy)

@@ -275,6 +275,16 @@ def conditional_equivalence(protocol: SequentialProtocol, sigma: np.ndarray) -> 
     return dev
 
 
+def _source_density(protocol: SequentialProtocol, sigma: np.ndarray) -> np.ndarray:
+    """sigma as a matrix, refused unless it is a density matrix on the target."""
+    sig = linalg.as_matrix(sigma)
+    if not linalg.is_density_matrix(sig, atol=1e-8):
+        raise ValueError("sigma must be a density matrix")
+    if sig.shape[0] != protocol.target.dim:
+        raise ValueError("sigma dimension does not match the target register")
+    return sig
+
+
 def _passed_states(protocol: SequentialProtocol, sig: np.ndarray):
     """Yield sigma, then the unnormalized system state after each passed stage.
 
@@ -296,12 +306,7 @@ def fidelity_transform(
     and the surviving copy is exactly the target. Sources that essentially
     never pass (probability below 1e-14) return None for the post-state.
     """
-    sig = linalg.as_matrix(sigma)
-    if not linalg.is_density_matrix(sig, atol=1e-8):
-        raise ValueError("sigma must be a density matrix")
-    if sig.shape[0] != protocol.target.dim:
-        raise ValueError("sigma dimension does not match the target register")
-    *_, current = _passed_states(protocol, sig)
+    *_, current = _passed_states(protocol, _source_density(protocol, sigma))
     prob = float(np.real(np.trace(current)))
     if prob < NEVER_PASSES_CUTOFF:
         return prob, None
@@ -318,7 +323,7 @@ def stage_pass_probabilities(
     """
     probs: list[float] = []
     for before, after in itertools.pairwise(
-        _passed_states(protocol, linalg.as_matrix(sigma))
+        _passed_states(protocol, _source_density(protocol, sigma))
     ):
         total = float(np.real(np.trace(before)))
         passed = float(np.real(np.trace(after)))

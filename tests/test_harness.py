@@ -1,12 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ndqv import catalog, harness
+from ndqv import catalog, harness, rng
 from ndqv.states import NoiseSpec
 
 
@@ -312,6 +315,178 @@ def test_matrix_and_circuit_backends_share_the_stream():
     assert (a.n_run, a.n_pass) == (b.n_run, b.n_pass)
     assert a.per_setting_attempts == b.per_setting_attempts
     assert a.per_setting_passes == b.per_setting_passes
+
+
+# ---------------------------------------------------------------------------
+# chunked matrix runs
+# ---------------------------------------------------------------------------
+
+# (protocol, noise) pairs that fail often enough to stop within a few chunks.
+_CHUNKED_CASES = {
+    "strategy": (lambda: catalog.build_strategy("bell"), NoiseSpec("depolarizing", 0.6)),
+    "sequential": (lambda: catalog.build_sequential("ghz3"), NoiseSpec("depolarizing", 0.5)),
+    "sequential_pure": (lambda: catalog.build_sequential("bell"), _worst(0.3)),
+}
+
+
+def _slots(protocol) -> int:
+    strategy = harness._protocol_kind(protocol) == "strategy"
+    return 1 + (2 if strategy else len(protocol.settings))
+
+
+def _one_shot_counts(spec):
+    """(n_run, n_pass, attempts, passes), copy by copy from the whole table."""
+    protocol = spec.protocol
+    strategy = harness._protocol_kind(protocol) == "strategy"
+    _, witness = harness._protocol_nu_witness(protocol)
+    members = harness._source_ensemble(protocol, spec.noise, witness)
+    l = len(protocol.settings)
+    member_cdf = np.cumsum([w for w, _ in members])
+    member_cdf[-1] = 1.0
+    if strategy:
+        setting_cdf = np.cumsum([float(s.weight) for s in protocol.settings])
+        setting_cdf[-1] = 1.0
+        probs = harness._strategy_member_probs(protocol, members)
+    else:
+        probs = harness._sequential_member_probs(protocol, members)
+    table = rng.uniform_table(spec.seed, spec.n_copies, _slots(protocol))
+    n_run = n_pass = 0
+    attempts, passes = [0] * l, [0] * l
+    for row in table:
+        m = 0
+        if spec.noise.kind == "depolarizing":
+            m = min(int(np.searchsorted(member_cdf, row[0], side="right")), len(members) - 1)
+        if strategy:
+            j = min(int(np.searchsorted(setting_cdf, row[1], side="right")), l - 1)
+            stages = [(j, row[2])]
+        else:
+            stages = list(enumerate(row[1:]))
+        ok = True
+        for j, u in stages:
+            attempts[j] += 1
+            if u < probs[m, j]:
+                passes[j] += 1
+            else:
+                ok = False
+                break
+        n_run += 1
+        n_pass += ok
+        if not ok and spec.mode == "stop_on_fail":
+            break
+    return n_run, n_pass, attempts, passes
+
+
+def _counts(report):
+    return (report.n_run, report.n_pass, report.per_setting_attempts, report.per_setting_passes)
+
+
+def _chunked_run(monkeypatch, spec, rows):
+    """The report with ``rows`` copies per chunk, and the copy ranges drawn."""
+    drawn = []
+    uniform_rows = rng.uniform_rows
+
+    def recording(seed, start, stop, slots_per_copy):
+        drawn.append((start, stop))
+        return uniform_rows(seed, start, stop, slots_per_copy)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "_CHUNK_UNIFORMS", rows * _slots(spec.protocol))
+        patch.setattr(rng, "uniform_rows", recording)
+        report = harness.run_experiment(spec)
+    return report, drawn
+
+
+@pytest.mark.parametrize("mode", harness.MODES)
+@pytest.mark.parametrize("case", sorted(_CHUNKED_CASES))
+@pytest.mark.parametrize("n", [3, 4, 5, 9])
+def test_chunked_run_equals_one_shot_reference(monkeypatch, case, mode, n):
+    # four copies per chunk: n = chunk - 1, chunk, chunk + 1, 2 * chunk + 1
+    build, noise = _CHUNKED_CASES[case]
+    spec = harness.ExperimentSpec(build(), noise, n, 5, mode=mode)
+    report, drawn = _chunked_run(monkeypatch, spec, rows=4)
+    assert _counts(report) == _one_shot_counts(spec)
+    whole = harness.run_experiment(spec)
+    assert harness.report_to_json(report) == harness.report_to_json(whole)
+    # consecutive chunks from copy 0, ending with the chunk of the last copy run
+    assert drawn[0][0] == 0 and all(a[1] == b[0] for a, b in zip(drawn, drawn[1:]))
+    assert drawn[-1][1] == min(n, -(-report.n_run // 4) * 4)
+
+
+@pytest.mark.parametrize("case", sorted(_CHUNKED_CASES))
+def test_stop_on_fail_stops_drawing_at_the_failing_chunk(monkeypatch, case):
+    build, noise = _CHUNKED_CASES[case]
+    protocol = build()
+    specs = [harness.ExperimentSpec(protocol, noise, 40, seed) for seed in range(60)]
+    # seeds that fail within the budget, first at copy 2 or later (copies count from 0)
+    late = [s for s in specs if 3 <= _one_shot_counts(s)[0] < 40][:3]
+    assert late
+    for spec in late:
+        reference = _one_shot_counts(spec)
+        first_fail = reference[0] - 1
+        # the failure on the last row of chunk 0, then on the first row of chunk 1
+        for rows in (first_fail + 1, first_fail):
+            report, drawn = _chunked_run(monkeypatch, spec, rows)
+            assert _counts(report) == reference
+            start = first_fail // rows * rows
+            assert drawn[-1] == (start, min(start + rows, spec.n_copies))
+            assert report.verdict == "fail"
+
+
+def test_chunk_holds_at_least_one_copy(monkeypatch):
+    protocol = catalog.build_sequential("ghz3")
+    spec = harness.ExperimentSpec(protocol, NoiseSpec("depolarizing", 0.5), 7, 2,
+                                  mode="count_frequency")
+    monkeypatch.setattr(harness, "_CHUNK_UNIFORMS", 1)
+    assert _counts(harness.run_experiment(spec)) == _one_shot_counts(spec)
+
+
+_BOUNDED_RUN = """
+import json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from ndqv import catalog, harness, rng
+from ndqv.states import NoiseSpec
+kind, name, noise, eps, n, mode = sys.argv[1:]
+build = catalog.build_strategy if kind == "strategy" else catalog.build_sequential
+spec = harness.ExperimentSpec(build(name), NoiseSpec(noise, float(eps)), int(n), 3, mode=mode)
+report = harness.run_experiment(spec)
+# Peak RSS of this process image: ru_maxrss would also count the peak of the
+# forking test process, which Linux carries across exec.
+with open("/proc/self/status") as fh:
+    rss_mb = next(int(l.split()[1]) for l in fh if l.startswith("VmHWM:")) / 1024
+print(json.dumps({"n_run": report.n_run, "n_pass": report.n_pass, "rss_mb": rss_mb}))
+"""
+
+
+def _bounded_run(*args) -> dict:
+    """One run in a child process limited to 1 GiB of address space, BLAS pinned."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-c", _BOUNDED_RUN, *map(str, args)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_stop_on_fail_at_a_hundred_million_copies_fits_in_one_gib():
+    # The whole table would need 4 * 10**8 * 3 doubles, 8.9 GiB.
+    out = _bounded_run("strategy", "ghz6", "worst_case_orthogonal", 0.05, 10**8, "stop_on_fail")
+    assert 1 <= out["n_run"] < 10**5
+    assert out["n_pass"] == out["n_run"] - 1
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_count_frequency_memory_does_not_grow_with_n_copies():
+    n = 5 * 10**6
+    out = _bounded_run("sequential", "bell", "depolarizing", 0.05, n, "count_frequency")
+    assert out["n_run"] == n
+    # each copy passes with the source fidelity 1 - 3 eps / 4
+    assert abs(out["n_pass"] / n - (1 - 0.75 * 0.05)) < 1e-3
+    assert out["rss_mb"] < 150
 
 
 def test_estimate_fidelity_requirements():

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -42,3 +43,27 @@ def test_values_in_unit_interval():
     table = rng.uniform_table(3, 100, 4)
     assert table.min() >= 0.0
     assert table.max() < 1.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**64),
+    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=1, max_value=5),
+)
+def test_rows_match_table_and_scalar_slots(seed, a, b, slots):
+    start, stop = min(a, b), max(a, b)
+    rows = rng.uniform_rows(seed, start, stop, slots)
+    assert rows.shape == (stop - start, slots)
+    assert np.array_equal(rows, rng.uniform_table(seed, stop, slots)[start:stop])
+    for c in range(start, stop):
+        for k in range(slots):
+            assert rows[c - start, k] == rng.slot_uniform(seed, c, k, slots)
+
+
+def test_rows_refuse_a_reversed_range():
+    with pytest.raises(ValueError, match="range"):
+        rng.uniform_rows(1, 5, 4, 3)
+    with pytest.raises(ValueError, match="range"):
+        rng.uniform_rows(1, -1, 4, 3)

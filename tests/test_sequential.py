@@ -252,6 +252,18 @@ def test_fidelity_transform_validates_input():
         seq.fidelity_transform(protocol, np.eye(8, dtype=complex) / 8.0)
 
 
+def test_stage_pass_probabilities_refuses_a_non_density_matrix():
+    protocol = catalog.sequential_bell()
+    with pytest.raises(ValueError, match="sigma must be a density matrix"):
+        seq.stage_pass_probabilities(protocol, np.eye(4, dtype=complex))
+
+
+def test_stage_pass_probabilities_refuses_the_wrong_dimension():
+    protocol = catalog.sequential_bell()
+    with pytest.raises(ValueError, match="sigma dimension does not match"):
+        seq.stage_pass_probabilities(protocol, np.eye(8, dtype=complex) / 8.0)
+
+
 def test_stage_pass_probabilities():
     protocol = catalog.sequential_bell()
     probs = seq.stage_pass_probabilities(protocol, protocol.target.projector())
