@@ -450,20 +450,15 @@ def _check_backends() -> CheckResult:
             spec = harness.ExperimentSpec(
                 protocol=protocol,
                 noise=noise,
-                n_copies=60,
+                n_copies=2000,
                 seed=run_seed,
                 backend=backend,
                 mode=mode,
             )
-            reports.append(harness.run_experiment(spec))
-        a, b = reports
-        same = (
-            a.n_run == b.n_run
-            and a.n_pass == b.n_pass
-            and a.per_setting_attempts == b.per_setting_attempts
-            and a.per_setting_passes == b.per_setting_passes
-        )
-        if not same:
+            report = harness.report_to_dict(harness.run_experiment(spec))
+            report.pop("backend")
+            reports.append(report)
+        if reports[0] != reports[1]:
             mismatches.append(protocol.label)
     return CheckResult(
         "backend_agreement",

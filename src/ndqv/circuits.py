@@ -143,12 +143,18 @@ class MeasurementRecord:
 
     outcomes holds (qubit, bit) per event in order; probability is the Born
     weight of the realized trajectory; pass_bits is the subset of bits that
-    enter the verdict (branch selectors excluded).
+    enter the verdict (branch selectors excluded). p_zero holds, per event
+    in the same order, the probability of outcome 0 that decided it (the
+    threshold a uniform is compared with); for a reject-rule event that is
+    the pass probability, whose complement is computed separately as the
+    fire probability, so the product of p0 or 1 - p0 along the outcomes
+    equals probability only to rounding.
     """
 
     outcomes: list[tuple[int, int]] = field(default_factory=list)
     probability: float = 1.0
     pass_bits: list[int] = field(default_factory=list)
+    p_zero: list[float] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -237,6 +243,7 @@ def _run_gates(
             bit = source.decide(p0)
             prob = p0 if bit == 0 else 1.0 - p0
             record.outcomes.append((q, bit))
+            record.p_zero.append(p0)
             record.probability *= prob
             tensor = _project(tensor, q, bit, prob)
             if circuit.branches is not None and i == last:
@@ -282,6 +289,7 @@ def _run_reject_rule(
     bit = source.decide(p_pass)  # bit 0 is the pass branch
     q_event = measured[0]
     record.outcomes.append((q_event, bit))
+    record.p_zero.append(p_pass)
     record.pass_bits.append(bit)
     if bit == 0:
         record.probability *= p_pass

@@ -12,10 +12,14 @@ each measurement setting owns its event slots in protocol order.
 Matrix-backend settings use one slot each; circuit-backend settings use one
 slot per recorded event, so a branching circuit uses two.
 
-The matrix backend draws and decides its slots one chunk of consecutive
-copies at a time and adds the counts up, so its memory is bounded per chunk
-and a stop_on_fail run draws nothing past the chunk of its first failure.
-The circuit backend draws its whole table up front.
+Both backends decide a block of copies at once with `u < p0` comparisons
+and add the counts up over blocks; in stop_on_fail mode the block holding
+the first failure is re-decided truncated after it. The matrix backend
+draws one chunk of consecutive copies per block, so its memory is bounded
+per chunk and a stop_on_fail run draws nothing past the chunk of its first
+failure. The circuit backend still draws its whole table as one block, but
+runs each compiled circuit only once per reached (member, stage, outcome
+bits) node of a per-run threshold tree, not once per copy.
 """
 from __future__ import annotations
 
@@ -316,69 +320,116 @@ def _sequential_decider(protocol: SequentialProtocol, members):
     return decide
 
 
-def _run_matrix(spec: ExperimentSpec, members, slots: int):
-    protocol = spec.protocol
-    if _protocol_kind(protocol) == "strategy":
-        decide = _strategy_decider(protocol, members)
-    else:
-        decide = _sequential_decider(protocol, members)
+# Node kinds of the circuit backend's threshold tree.
+_UNEXPANDED, _EVENT, _FAIL, _PASS = range(4)
 
-    n = spec.n_copies
-    rows = max(1, _CHUNK_UNIFORMS // slots)
+
+def _circuit_decider(protocol: SequentialProtocol, members, slot_spans):
+    """Per-block decision on the circuit backend over a lazily grown tree.
+
+    A node stands for (member, stage, outcome bits so far). A pure member
+    enters every stage in a state fixed by that path, so one circuit run
+    per reached node gives every copy on it the same outcome-0 thresholds
+    (MeasurementRecord.p_zero). A node is expanded only when some copy
+    reaches it, by running the stage circuit on that copy's own uniforms
+    from the stage root, so each threshold is the float the circuit
+    computes on that path. An event node holds its threshold and two
+    children, a passed leaf links to the root of the next stage, and a
+    stage root holds the system state entering its stage. The tree lives
+    as long as the decider, so re-deciding a truncated block runs no
+    circuit again.
+    """
+    circuits = protocol.circuits
+    member_cdf = _member_cdf(members)
+    # Per node: kind, outcome-0 threshold and children (a passed leaf keeps
+    # the next stage's root in child0); per stage root, its entering state.
+    kind: list[int] = []
+    p0: list[float] = []
+    child0: list[int] = []
+    child1: list[int] = []
+    entry_state: dict[int, np.ndarray] = {}
+
+    def new_node() -> int:
+        kind.append(_UNEXPANDED)
+        p0.append(math.nan)
+        child0.append(-1)
+        child1.append(-1)
+        return len(kind) - 1
+
+    for _, vec in members:
+        entry_state[new_node()] = vec
+
+    def expand(stage: int, root: int, uniforms: np.ndarray) -> None:
+        circuit = circuits[stage]
+        full = circ.fresh_input(circuit, entry_state[root])
+        out, record = circ.apply(circuit, full, uniforms=uniforms)
+        at = root
+        for (_, bit), threshold in zip(record.outcomes, record.p_zero):
+            if kind[at] == _UNEXPANDED:
+                kind[at] = _EVENT
+                p0[at] = threshold
+                child0[at] = new_node()
+                child1[at] = new_node()
+            at = child1[at] if bit else child0[at]
+        if not record.passed:
+            kind[at] = _FAIL
+            return
+        kind[at] = _PASS
+        if stage + 1 < len(circuits):
+            child0[at] = new_node()
+            entry_state[child0[at]] = _system_state_after(circuit, out)
+
+    def decide(u: np.ndarray):
+        bits = np.zeros((len(u), len(circuits)), dtype=bool)
+        rows = np.arange(len(u))
+        cur = _pick(member_cdf, u[:, 0])
+        cursor = 1
+        for stage, span in enumerate(slot_spans):
+            roots = cur.copy()
+            for depth in range(span + 1):
+                reached = np.flatnonzero(np.bincount(cur, minlength=len(kind)))
+                for node in reached.tolist():
+                    if kind[node] == _UNEXPANDED:
+                        c = int(np.argmax(cur == node))
+                        expand(stage, int(roots[c]), u[rows[c], cursor : cursor + span])
+                node_kind = np.asarray(kind)[cur]
+                event = node_kind == _EVENT
+                if not event.any():
+                    break
+                at = cur[event]
+                one = ~(u[rows[event], cursor + depth] < np.asarray(p0)[at])
+                cur[event] = np.where(one, np.asarray(child1)[at], np.asarray(child0)[at])
+            passed = node_kind == _PASS
+            bits[rows, stage] = passed
+            rows = rows[passed]
+            cur = np.asarray(child0, dtype=np.intp)[cur[passed]]
+            cursor += span
+        return _counts_from_bits(bits)
+
+    return decide
+
+
+def _decide_blocks(blocks, decide, stop_on_fail: bool, n_settings: int):
+    """Run, pass and per-setting counts added up over consecutive blocks.
+
+    In stop_on_fail mode the block that holds the first failing copy is
+    re-decided truncated after that copy, and no later block is drawn.
+    """
     n_run = n_pass = 0
-    attempts = passes = np.zeros(len(protocol.settings), dtype=np.int64)
-    for start in range(0, n, rows):
-        u = rngmod.uniform_rows(spec.seed, start, min(start + rows, n), slots)
-        copy_ok, chunk_attempts, chunk_passes = decide(u)
-        stop = spec.mode == "stop_on_fail" and not copy_ok.all()
+    attempts = passes = np.zeros(n_settings, dtype=np.int64)
+    for u in blocks:
+        copy_ok, block_attempts, block_passes = decide(u)
+        stop = stop_on_fail and not copy_ok.all()
         if stop:
             u = u[: int(np.argmin(copy_ok)) + 1]
-            copy_ok, chunk_attempts, chunk_passes = decide(u)
+            copy_ok, block_attempts, block_passes = decide(u)
         n_run += len(u)
         n_pass += int(copy_ok.sum())
-        attempts = attempts + chunk_attempts
-        passes = passes + chunk_passes
+        attempts = attempts + block_attempts
+        passes = passes + block_passes
         if stop:
             break
     return n_run, n_pass, attempts.tolist(), passes.tolist()
-
-
-def _run_circuit(spec: ExperimentSpec, members, slots: int, slot_spans):
-    protocol = spec.protocol
-    n = spec.n_copies
-    table = rngmod.uniform_table(spec.seed, n, slots)
-    member_idx = _pick(_member_cdf(members), table[:, 0])
-
-    l = len(protocol.circuits)
-    attempts = [0] * l
-    passes = [0] * l
-    n_run = 0
-    n_pass = 0
-    for c in range(n):
-        n_run += 1
-        state = members[int(member_idx[c])][1]
-        copy_ok = True
-        cursor = 1
-        for i, circuit in enumerate(protocol.circuits):
-            span = slot_spans[i]
-            if not copy_ok:
-                break
-            attempts[i] += 1
-            full = circ.fresh_input(circuit, state)
-            out, record = circ.apply(
-                circuit, full, uniforms=table[c, cursor : cursor + span]
-            )
-            cursor += span
-            if record.passed:
-                passes[i] += 1
-                state = _system_state_after(circuit, out)
-            else:
-                copy_ok = False
-        if copy_ok:
-            n_pass += 1
-        elif spec.mode == "stop_on_fail":
-            break
-    return n_run, n_pass, attempts, passes
 
 
 def run_experiment(spec: ExperimentSpec) -> RunReport:
@@ -396,14 +447,26 @@ def run_experiment(spec: ExperimentSpec) -> RunReport:
     nu, witness = _protocol_nu_witness(protocol)
     members = _source_ensemble(protocol, spec.noise, witness)
 
+    n = spec.n_copies
     if spec.backend == "matrix":
-        n_settings = len(protocol.settings)
-        slots = 1 + (2 if kind == "strategy" else n_settings)
-        n_run, n_pass, attempts, passes = _run_matrix(spec, members, slots)
+        if kind == "strategy":
+            slots = 3
+            decide = _strategy_decider(protocol, members)
+        else:
+            slots = 1 + len(protocol.settings)
+            decide = _sequential_decider(protocol, members)
+        rows = max(1, _CHUNK_UNIFORMS // slots)
+        blocks = (
+            rngmod.uniform_rows(spec.seed, start, min(start + rows, n), slots)
+            for start in range(0, n, rows)
+        )
     else:
         slot_spans = [_circuit_event_slots(c) for c in protocol.circuits]
-        slots = 1 + sum(slot_spans)
-        n_run, n_pass, attempts, passes = _run_circuit(spec, members, slots, slot_spans)
+        decide = _circuit_decider(protocol, members, slot_spans)
+        blocks = [rngmod.uniform_table(spec.seed, n, 1 + sum(slot_spans))]
+    n_run, n_pass, attempts, passes = _decide_blocks(
+        blocks, decide, spec.mode == "stop_on_fail", len(protocol.settings)
+    )
 
     frequency = n_pass / n_run
     x = nu * spec.noise.epsilon

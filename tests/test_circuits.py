@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from ndqv import catalog
 from ndqv import circuits as circ
 from ndqv import linalg
 from ndqv import sequential as seq
@@ -125,6 +127,45 @@ def test_reject_rule_records_single_event():
     assert len(record.outcomes) == 1
     assert record.probability == pytest.approx(1.0)
     assert linalg.max_abs(out - vec) < 1e-12
+
+
+def _catalog_circuits():
+    protocols = [
+        catalog.build_sequential("bell"),
+        catalog.build_sequential("ghz3"),
+        catalog.build_sequential("two_qubit_three", 0.6),
+        catalog.build_sequential("two_qubit_three", 0.6, variant="cnot_pair"),
+        catalog.build_sequential("adaptive_two", 0.5),
+    ]
+    return [c for p in protocols for c in p.circuits]
+
+
+def _check_p_zero(record):
+    assert len(record.p_zero) == len(record.outcomes)
+    product = 1.0
+    for (_, bit), p0 in zip(record.outcomes, record.p_zero):
+        product *= p0 if bit == 0 else 1.0 - p0
+    assert abs(product - record.probability) < 1e-9
+
+
+def test_record_holds_the_outcome_zero_probability_of_every_event():
+    gen = np.random.default_rng(8)
+    for circuit in _catalog_circuits():
+        d = 2**circuit.n_system
+        sys_vec = gen.normal(size=d) + 1j * gen.normal(size=d)
+        vec = circ.fresh_input(circuit, sys_vec / np.linalg.norm(sys_vec))
+        for u in itertools.product([0.01, 0.99], repeat=2):
+            _, record = circ.apply(circuit, vec, uniforms=list(u))
+            _check_p_zero(record)
+            # the uniform rule: outcome 0 exactly when u < p0
+            assert [b for _, b in record.outcomes] == [
+                int(not x < p0) for x, p0 in zip(u, record.p_zero)
+            ]
+            n_events = len(record.outcomes)
+        for bits in itertools.product([0, 1], repeat=n_events):
+            _, record = circ.apply(circuit, vec, forced_outcomes=bits)
+            _check_p_zero(record)
+            assert [b for _, b in record.outcomes] == list(bits)
 
 
 def test_adaptive_target_trajectories():

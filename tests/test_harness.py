@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ndqv import catalog, harness, rng
+from ndqv import catalog, circuits, harness, rng
 from ndqv.states import NoiseSpec
 
 
@@ -376,6 +376,38 @@ def _one_shot_counts(spec):
     return n_run, n_pass, attempts, passes
 
 
+def _one_shot_circuit_counts(spec):
+    """(n_run, n_pass, attempts, passes), running every circuit copy by copy."""
+    protocol = spec.protocol
+    _, witness = harness._protocol_nu_witness(protocol)
+    members = harness._source_ensemble(protocol, spec.noise, witness)
+    spans = [harness._circuit_event_slots(c) for c in protocol.circuits]
+    table = rng.uniform_table(spec.seed, spec.n_copies, 1 + sum(spans))
+    member_idx = harness._pick(harness._member_cdf(members), table[:, 0])
+    l = len(protocol.circuits)
+    n_run = n_pass = 0
+    attempts, passes = [0] * l, [0] * l
+    for c in range(spec.n_copies):
+        n_run += 1
+        state = members[int(member_idx[c])][1]
+        ok = True
+        cursor = 1
+        for i, (circuit, span) in enumerate(zip(protocol.circuits, spans)):
+            attempts[i] += 1
+            full = circuits.fresh_input(circuit, state)
+            out, record = circuits.apply(circuit, full, uniforms=table[c, cursor : cursor + span])
+            cursor += span
+            if not record.passed:
+                ok = False
+                break
+            passes[i] += 1
+            state = harness._system_state_after(circuit, out)
+        n_pass += ok
+        if not ok and spec.mode == "stop_on_fail":
+            break
+    return n_run, n_pass, attempts, passes
+
+
 def _counts(report):
     return (report.n_run, report.n_pass, report.per_setting_attempts, report.per_setting_passes)
 
@@ -440,10 +472,66 @@ def test_chunk_holds_at_least_one_copy(monkeypatch):
     assert _counts(harness.run_experiment(spec)) == _one_shot_counts(spec)
 
 
+_CIRCUIT_PROTOCOLS = {
+    "bell": lambda: catalog.build_sequential("bell"),
+    "ghz3": lambda: catalog.build_sequential("ghz3"),
+    "toffoli": lambda: catalog.build_sequential("two_qubit_three", 0.6),
+    "cnot_pair": lambda: catalog.build_sequential("two_qubit_three", 0.6, variant="cnot_pair"),
+    "adaptive_two": lambda: catalog.build_sequential("adaptive_two", 0.5),
+}
+_CIRCUIT_NOISES = {
+    "depolarizing": NoiseSpec("depolarizing", 0.3),
+    "worst_case": _worst(0.3),
+    "random": NoiseSpec("random_orthogonal", 0.3, seed=4),
+}
+
+
+# Every protocol and noise at n = 1 and 7; at n = 300, where the reference
+# loop is slow, each protocol under one noise and every noise at least once.
+_CIRCUIT_CASES = [
+    (name, noise, n) for name in _CIRCUIT_PROTOCOLS for noise in _CIRCUIT_NOISES for n in (1, 7)
+] + [
+    (name, noise, 300)
+    for name, noise in zip(_CIRCUIT_PROTOCOLS, ["depolarizing", "worst_case", "random"] * 2)
+]
+
+
+@pytest.mark.parametrize("name, noise, n", _CIRCUIT_CASES)
+def test_circuit_tree_report_equals_copy_by_copy_reference(monkeypatch, name, noise, n):
+    protocol = _CIRCUIT_PROTOCOLS[name]()
+    for mode in harness.MODES:
+        spec = harness.ExperimentSpec(protocol, _CIRCUIT_NOISES[noise], n, 11, "circuit", mode)
+        report = harness.report_to_json(harness.run_experiment(spec))
+        reference = _one_shot_circuit_counts(spec)
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "_decide_blocks", lambda *args: reference)
+            assert harness.report_to_json(harness.run_experiment(spec)) == report
+
+
+def test_circuit_runs_are_bounded_by_reached_nodes(monkeypatch):
+    protocol = catalog.build_sequential("bell")
+    calls = []
+    apply = circuits.apply
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return apply(*args, **kwargs)
+
+    monkeypatch.setattr(circuits, "apply", counting)
+    per_run = []
+    for n in (10, 5000):
+        calls.clear()
+        spec = harness.ExperimentSpec(protocol, _pure(), n, 3, "circuit", "count_frequency")
+        assert harness.run_experiment(spec).n_pass == n
+        per_run.append(len(calls))
+    # one pure member, two stages that always pass: one run per stage
+    assert per_run == [2, 2]
+
+
 _BOUNDED_RUN = """
 import json, resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-from ndqv import catalog, harness, rng
+from ndqv import catalog, circuits, harness, rng
 from ndqv.states import NoiseSpec
 kind, name, noise, eps, n, mode = sys.argv[1:]
 build = catalog.build_strategy if kind == "strategy" else catalog.build_sequential
