@@ -6,13 +6,13 @@ everywhere. GHZ families accept sizes inline, e.g. ``ghz4`` or ``ghz3_group``.
 """
 from __future__ import annotations
 
+import dataclasses
 import re
 
 from . import circuits as circ
 from . import sequential as seq
 from . import states, strategies
-from .sequential import SequentialProtocol
-from .strategies import Strategy
+from .sequential import Protocol
 
 _THETA_FAMILIES = {
     "two_qubit_three",
@@ -47,7 +47,7 @@ def needs_theta(name: str) -> bool:
     return name in _THETA_FAMILIES
 
 
-def build_strategy(name: str, theta: float | None = None) -> Strategy:
+def build_strategy(name: str, theta: float | None = None) -> Protocol:
     """Resolve a selector to its strategy, validating the theta requirement."""
     if name in _FIXED_STRATEGIES:
         if theta is not None:
@@ -70,26 +70,26 @@ def build_strategy(name: str, theta: float | None = None) -> Strategy:
     raise ValueError(f"unknown strategy {name!r}")
 
 
-def _from_strategy(strat: Strategy, label: str, circuits=None) -> SequentialProtocol:
-    """Run a strategy's settings in sequence, in the order it lists them."""
-    protocol = seq.compose_sequential(
-        strat.target,
-        [s.projector for s in strat.settings],
-        labels=[s.label for s in strat.settings],
-        label=label,
-        theta=strat.theta,
+def _from_strategy(strat: Protocol, label: str, circuits=None) -> Protocol:
+    """Run a strategy's settings in sequence, in the order it lists them.
+
+    The strategy's settings are reused as they are, so no projector is
+    validated twice; only completeness is checked on top.
+    """
+    protocol = dataclasses.replace(
+        strat, kind="sequential", label=label, analytic_nu=None, circuits=circuits
     )
-    protocol.circuits = circuits
+    seq.check_complete(protocol)
     return protocol
 
 
-def sequential_bell() -> SequentialProtocol:
+def sequential_bell() -> Protocol:
     return _from_strategy(
         strategies.bell_minimal(), "bell_sequential", circ.compile_bell()
     )
 
 
-def sequential_two_qubit(theta: float, variant: str = "toffoli") -> SequentialProtocol:
+def sequential_two_qubit(theta: float, variant: str = "toffoli") -> Protocol:
     return _from_strategy(
         strategies.two_qubit_three(theta),
         f"two_qubit_sequential_{variant}",
@@ -97,14 +97,14 @@ def sequential_two_qubit(theta: float, variant: str = "toffoli") -> SequentialPr
     )
 
 
-def sequential_ghz3() -> SequentialProtocol:
+def sequential_ghz3() -> Protocol:
     spec = states.StabilizerGroupSpec(("+XXX", "+ZIZ", "+ZZI"))
     return _from_strategy(
         strategies.stabilizer_generators(spec), "ghz3_sequential", circ.compile_ghz3()
     )
 
 
-def sequential_adaptive(theta: float) -> SequentialProtocol:
+def sequential_adaptive(theta: float) -> Protocol:
     parity = circ.compile_bell()[0]
     return _from_strategy(
         strategies.adaptive_two(theta),
@@ -113,7 +113,7 @@ def sequential_adaptive(theta: float) -> SequentialProtocol:
     )
 
 
-def sequential_ghz(n: int) -> SequentialProtocol:
+def sequential_ghz(n: int) -> Protocol:
     """Generator checks in sequence; compiled circuits exist only for n = 3."""
     if n == 3:
         return sequential_ghz3()
@@ -123,7 +123,7 @@ def sequential_ghz(n: int) -> SequentialProtocol:
 
 def build_sequential(
     name: str, theta: float | None = None, variant: str = "toffoli"
-) -> SequentialProtocol:
+) -> Protocol:
     """Resolve a selector to its sequential protocol (circuits attached when compiled)."""
     if name == "bell":
         if theta is not None:

@@ -121,7 +121,7 @@ def _check_states() -> CheckResult:
 
 @_register("gap_formulas")
 def _check_gaps() -> CheckResult:
-    builds: list[strategies.Strategy] = [
+    builds: list[seq.Protocol] = [
         strategies.bell_minimal(),
         strategies.bell_stabilizer_group(),
         strategies.stabilizer_generators(strategies.ghz_generator_spec(3)),
@@ -190,7 +190,7 @@ def _check_qnd() -> CheckResult:
     return _result("qnd_coupling", dev, TOL_STRUCTURAL)
 
 
-def _catalog_protocols() -> list[seq.SequentialProtocol]:
+def _catalog_protocols() -> list[seq.Protocol]:
     return [
         catalog.sequential_bell(),
         catalog.sequential_two_qubit(0.55),
@@ -330,7 +330,7 @@ def _check_compiled() -> CheckResult:
     dev = 0.0
     pairs = 0
 
-    def direct(circuit: circ.Circuit, setting: seq.QndSetting) -> float:
+    def direct(circuit: circ.Circuit, setting: seq.Setting) -> float:
         expected = setting.m_pass
         idle = circuit.n_ancilla - 1
         if idle:
@@ -473,8 +473,8 @@ def _check_backends() -> CheckResult:
 def _check_serialization() -> CheckResult:
     dev = 0.0
     strat = strategies.bell_stabilizer_group()
-    blob = json.dumps(strategies.strategy_to_dict(strat))
-    back = strategies.strategy_from_dict(json.loads(blob))
+    blob = json.dumps(seq.protocol_to_dict(strat))
+    back = seq.protocol_from_dict(json.loads(blob))
     for s_in, s_out in zip(strat.settings, back.settings):
         dev = max(dev, linalg.max_abs(s_in.projector - s_out.projector))
         dev = max(dev, abs(s_in.weight - s_out.weight))

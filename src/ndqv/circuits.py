@@ -162,17 +162,15 @@ class MeasurementRecord:
 
 
 class _OutcomeSource:
-    """Resolves each two-way event from rng, a uniform list, or forced bits.
+    """Resolves each two-way event from a uniform list or forced bits.
 
     Convention shared with the matrix backend: with one uniform u per event,
     the probability-p0 outcome 0 happens exactly when u < p0.
     """
 
-    def __init__(self, rng, uniforms, forced):
-        supplied = sum(x is not None for x in (rng, uniforms, forced))
-        if supplied != 1:
-            raise ValueError("supply exactly one of rng, uniforms, forced_outcomes")
-        self._rng = rng
+    def __init__(self, uniforms, forced):
+        if (uniforms is None) == (forced is None):
+            raise ValueError("supply exactly one of uniforms, forced_outcomes")
         self._uniforms = iter(uniforms) if uniforms is not None else None
         self._forced = iter(forced) if forced is not None else None
 
@@ -186,13 +184,10 @@ class _OutcomeSource:
             if p < _IMPOSSIBLE_CUTOFF:
                 raise ValueError(f"forced outcome {bit} has probability {p}")
             return bit
-        if self._uniforms is not None:
-            try:
-                u = float(next(self._uniforms))
-            except StopIteration:
-                raise ValueError("ran out of uniforms") from None
-        else:
-            u = float(self._rng.random())
+        try:
+            u = float(next(self._uniforms))
+        except StopIteration:
+            raise ValueError("ran out of uniforms") from None
         return 0 if u < p_zero else 1
 
 
@@ -301,26 +296,24 @@ def _run_reject_rule(
 def apply(
     circuit: Circuit,
     state: np.ndarray,
-    rng: np.random.Generator | None = None,
     uniforms=None,
     forced_outcomes=None,
 ) -> tuple[np.ndarray, MeasurementRecord]:
     """Run the circuit on a full-register state vector.
 
-    Measurement outcomes come from exactly one source: a numpy Generator, a
-    list of uniforms (one per event, outcome 0 when u < p0), or forced bits.
+    Measurement outcomes come from exactly one source: a list of uniforms
+    (one per event, outcome 0 when u < p0) or forced bits.
     Forcing an outcome whose probability is below 1e-14 raises.
     """
     v = linalg.as_vector(state)
     if v.shape[0] != 2**circuit.n_qubits:
         raise ValueError("state length does not match the register")
     record = MeasurementRecord()
-    if rng is None and uniforms is None and forced_outcomes is None:
+    if uniforms is None and forced_outcomes is None:
         if circuit.has_measurements():
-            raise ValueError("circuit measures; supply rng, uniforms, or forced_outcomes")
-        source = _OutcomeSource(None, [], None)
-    else:
-        source = _OutcomeSource(rng, uniforms, forced_outcomes)
+            raise ValueError("circuit measures; supply uniforms or forced_outcomes")
+        uniforms = []
+    source = _OutcomeSource(uniforms, forced_outcomes)
     tensor = v.reshape([2] * circuit.n_qubits)
     out = _run_gates(circuit, tensor, source, record)
     return out.reshape(-1), record

@@ -16,7 +16,7 @@ import sys
 import tempfile
 
 from . import catalog, checks, circuits as circ, harness
-from . import states, strategies
+from . import sequential, states, strategies
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -62,7 +62,7 @@ def _cmd_gap(args) -> int:
         "nu": report.nu,
         "lambda2": report.lambda2,
         "analytic_nu": strat.analytic_nu,
-        "witness": strategies._vector_pairs(report.witness),
+        "witness": sequential.complex_pairs(report.witness),
     }
     if args.epsilon is not None or args.delta is not None:
         if args.epsilon is None or args.delta is None:

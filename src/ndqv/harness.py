@@ -31,10 +31,9 @@ import numpy as np
 
 from . import circuits as circ
 from . import rng as rngmod
-from . import sequential as seq
-from .sequential import SequentialProtocol
+from .sequential import Protocol
+from .sequential import protocol_gap as spectral_gap
 from .states import NoiseSpec, perturbed_state
-from .strategies import Strategy, spectral_gap
 
 Z_95 = 1.959963984540054
 
@@ -46,11 +45,14 @@ BACKENDS = ("matrix", "circuit")
 _CHUNK_UNIFORMS = 2**15
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentSpec:
-    """One reproducible experiment: protocol, backend, source noise, budget."""
+    """One reproducible experiment: protocol, backend, source noise, budget.
 
-    protocol: Strategy | SequentialProtocol
+    Frozen, so a field cannot be changed past the checks made here.
+    """
+
+    protocol: Protocol
     noise: NoiseSpec
     n_copies: int
     seed: int
@@ -58,16 +60,22 @@ class ExperimentSpec:
     mode: str = "stop_on_fail"
 
     def __post_init__(self) -> None:
+        if not isinstance(self.protocol, Protocol):
+            raise ValueError(
+                f"protocol must be a Protocol, got {type(self.protocol).__name__}"
+            )
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        self.n_copies = _as_int("n_copies", self.n_copies)
-        if self.n_copies < 1:
+        n_copies = _as_int("n_copies", self.n_copies)
+        if n_copies < 1:
             raise ValueError("n_copies must be at least 1")
-        self.seed = _as_int("seed", self.seed)
-        if not 0 <= self.seed < 2**128:
-            raise ValueError(f"seed must lie in [0, 2**128), got {self.seed}")
+        seed = _as_int("seed", self.seed)
+        if not 0 <= seed < 2**128:
+            raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
+        object.__setattr__(self, "n_copies", n_copies)
+        object.__setattr__(self, "seed", seed)
 
 
 def _as_int(name: str, value) -> int:
@@ -180,22 +188,6 @@ def estimate_fidelity(report: RunReport) -> tuple[float, float, float]:
     return (report.n_pass / report.n_run, low, high)
 
 
-def _protocol_kind(protocol) -> str:
-    if isinstance(protocol, Strategy):
-        return "strategy"
-    if isinstance(protocol, SequentialProtocol):
-        return "sequential"
-    raise TypeError(f"unsupported protocol type {type(protocol).__name__}")
-
-
-def _protocol_nu_witness(protocol) -> tuple[float, np.ndarray]:
-    if isinstance(protocol, Strategy):
-        report = spectral_gap(protocol)
-    else:
-        report = seq.protocol_gap(protocol)
-    return report.nu, report.witness
-
-
 def _source_ensemble(
     protocol, noise: NoiseSpec, witness: np.ndarray
 ) -> list[tuple[float, np.ndarray]]:
@@ -211,7 +203,7 @@ def _source_ensemble(
     return [(1.0, vec)]
 
 
-def _strategy_member_probs(strategy: Strategy, members) -> np.ndarray:
+def _strategy_member_probs(strategy: Protocol, members) -> np.ndarray:
     """probs[m, j] = acceptance probability of setting j on member m."""
     probs = np.empty((len(members), len(strategy.settings)))
     for m_idx, (_, vec) in enumerate(members):
@@ -221,7 +213,7 @@ def _strategy_member_probs(strategy: Strategy, members) -> np.ndarray:
     return probs
 
 
-def _sequential_member_probs(protocol: SequentialProtocol, members) -> np.ndarray:
+def _sequential_member_probs(protocol: Protocol, members) -> np.ndarray:
     """probs[m, i] = conditional pass probability of stage i for member m.
 
     Valid because a pure source makes every post-pass state deterministic,
@@ -293,7 +285,7 @@ def _member_cdf(members) -> np.ndarray:
     return _cdf([w for w, _ in members])
 
 
-def _strategy_decider(protocol: Strategy, members):
+def _strategy_decider(protocol: Protocol, members):
     """Per-chunk decision of a sampled strategy: slot 1 picks the setting."""
     probs = _strategy_member_probs(protocol, members)
     member_cdf = _member_cdf(members)
@@ -309,7 +301,7 @@ def _strategy_decider(protocol: Strategy, members):
     return decide
 
 
-def _sequential_decider(protocol: SequentialProtocol, members):
+def _sequential_decider(protocol: Protocol, members):
     """Per-chunk decision of a sequential protocol: one slot per stage."""
     probs = _sequential_member_probs(protocol, members)
     member_cdf = _member_cdf(members)
@@ -324,7 +316,7 @@ def _sequential_decider(protocol: SequentialProtocol, members):
 _UNEXPANDED, _EVENT, _FAIL, _PASS = range(4)
 
 
-def _circuit_decider(protocol: SequentialProtocol, members, slot_spans):
+def _circuit_decider(protocol: Protocol, members, slot_spans):
     """Per-block decision on the circuit backend over a lazily grown tree.
 
     A node stands for (member, stage, outcome bits so far). A pure member
@@ -435,17 +427,16 @@ def _decide_blocks(blocks, decide, stop_on_fail: bool, n_settings: int):
 def run_experiment(spec: ExperimentSpec) -> RunReport:
     """Execute one experiment and assemble its report."""
     protocol = spec.protocol
-    kind = _protocol_kind(protocol)
+    kind = protocol.kind
     if spec.backend == "circuit":
         if kind != "sequential":
             raise ValueError("circuit backend needs a sequential protocol")
-        if not protocol.circuits:
+        if protocol.circuits is None:
             raise ValueError("protocol has no compiled circuits")
-        if len(protocol.circuits) != len(protocol.settings):
-            raise ValueError("circuit count does not match setting count")
 
-    nu, witness = _protocol_nu_witness(protocol)
-    members = _source_ensemble(protocol, spec.noise, witness)
+    gap = spectral_gap(protocol)
+    nu = gap.nu
+    members = _source_ensemble(protocol, spec.noise, gap.witness)
 
     n = spec.n_copies
     if spec.backend == "matrix":

@@ -156,20 +156,3 @@ def hermitian_eigs(a: np.ndarray, atol: float = ATOL_STRUCTURAL) -> EigenResult:
     values, vectors = np.linalg.eigh(m)
     return EigenResult(values=values[::-1].copy(), vectors=vectors[:, ::-1].copy())
 
-
-def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray:
-    """Trace out one factor of a bipartite operator.
-
-    ``dims`` gives the factor dimensions (d0, d1) with factor 0 most
-    significant; ``keep`` selects the factor that survives.
-    """
-    m = as_matrix(rho)
-    d0, d1 = dims
-    if d0 * d1 != m.shape[0]:
-        raise ValueError(f"dims {dims} do not factor dimension {m.shape[0]}")
-    if keep not in (0, 1):
-        raise ValueError("keep must be 0 or 1")
-    t = m.reshape(d0, d1, d0, d1)
-    if keep == 0:
-        return np.trace(t, axis1=1, axis2=3)
-    return np.trace(t, axis1=0, axis2=2)

@@ -1,10 +1,16 @@
-"""Sequential nondemolition verification engine.
+"""Verification protocols: projective settings, run sampled or in sequence.
 
-Each projective pass test is coupled to its own fresh ancilla through a
-controlled-flip unitary; reading the ancilla in the computational basis
-implements the test without consuming the system copy. Running the settings
-one after another on a single copy concentrates the whole verification into
-one effective projector on the system.
+A protocol is a target state and an ordered tuple of projective pass tests
+that all accept the target with certainty. Its ``kind`` says how a copy
+meets them. A ``strategy`` samples one setting per copy with its weight, so
+its detection power is the gap of the mixed operator sum_i mu_i Omega_i. A
+``sequential`` run applies every setting to the same copy as a
+nondemolition measurement: each test is coupled to its own fresh ancilla
+through a controlled-flip unitary, and reading the ancilla implements the
+test without consuming the copy, so the run concentrates into one
+effective projector on the system. Both kinds are frozen and their
+projectors read-only; a sequential run of a strategy is the same object
+with another kind, built by ``dataclasses.replace``.
 """
 from __future__ import annotations
 
@@ -16,15 +22,11 @@ import numpy as np
 
 from . import linalg, states
 from .states import TargetState
-from .strategies import (
-    ATOL_FIX,
-    GapReport,
-    _matrix_pairs,
-    _orthogonal_witness,
-    _pairs_matrix,
-    _pairs_vector,
-    _vector_pairs,
-)
+
+ATOL_FIX = 1e-9       # settings must fix the target this tightly
+ATOL_WEIGHTS = 1e-12  # weight normalization
+
+KINDS = ("strategy", "sequential")
 
 _P0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 _P1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
@@ -38,17 +40,28 @@ MAX_MATERIALIZED_SETTINGS = 6
 NEVER_PASSES_CUTOFF = 1e-14
 
 
-@dataclass(frozen=True)
-class QndSetting:
-    """A projective pass test, run as a nondemolition measurement.
+# eq=False: equality and hash are by identity, since generated ones would
+# compare ndarray fields and raise.
+@dataclass(frozen=True, eq=False)
+class Setting:
+    """A projective pass test, with its sampling weight when in a strategy.
 
-    Only the projector is stored. The coupling to its ancilla and the two
+    The projector is validated once, here, and kept as a read-only view of
+    the array passed in (no copy). The coupling to its ancilla and the two
     branch operators on system + ancilla are derived and validated on first
     access; the engine itself applies the projector to the system alone.
     """
 
     label: str
     projector: np.ndarray
+    weight: float | None = None
+
+    def __post_init__(self) -> None:
+        omega = linalg.as_matrix(self.projector).view()
+        if not linalg.is_projector(omega):
+            raise ValueError(f"setting {self.label!r} is not a projector")
+        omega.flags.writeable = False
+        object.__setattr__(self, "projector", omega)
 
     @functools.cached_property
     def _lifted(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -80,27 +93,66 @@ class QndSetting:
         return self._lifted[2]
 
 
-def build_qnd_setting(projector: np.ndarray, label: str = "") -> QndSetting:
+def build_qnd_setting(
+    projector: np.ndarray, label: str = "", weight: float | None = None
+) -> Setting:
     """Couple a projective test to one ancilla.
 
     The coupling flips the ancilla exactly on the reject subspace, so the
     ancilla reading 0 is the pass branch and the system is untouched on it.
     """
-    omega = linalg.as_matrix(projector)
-    if not linalg.is_projector(omega):
-        raise ValueError("QND coupling requires a projector")
-    return QndSetting(label=label, projector=omega)
+    return Setting(label=label, projector=projector, weight=weight)
 
 
-@dataclass
-class SequentialProtocol:
-    """Ordered QND settings applied to one copy, first list entry first."""
+@dataclass(frozen=True, eq=False)
+class Protocol:
+    """Target and ordered settings, sampled (strategy) or run in sequence.
+
+    A sequential run applies the settings to one copy, first entry first.
+    Compiled circuits, one per setting, belong to sequential runs only.
+    Settings and circuits may be passed as any sequence and are stored as
+    tuples; every check runs here, at construction.
+    """
 
     label: str
     target: TargetState
-    settings: list[QndSetting]
+    settings: tuple[Setting, ...]
+    kind: str
     theta: float | None = None
-    circuits: list | None = field(default=None, repr=False)
+    analytic_nu: float | None = None
+    circuits: tuple | None = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown protocol kind {self.kind!r}")
+        settings = tuple(self.settings)
+        object.__setattr__(self, "settings", settings)
+        if not settings:
+            raise ValueError("a protocol needs at least one setting")
+        psi = self.target.vector
+        total = 0.0
+        for s in settings:
+            if not isinstance(s, Setting):
+                raise ValueError(f"expected a Setting, got {type(s).__name__}")
+            if s.projector.shape[0] != self.target.dim:
+                raise ValueError(f"setting {s.label!r} dimension mismatch")
+            if linalg.max_abs(s.projector @ psi - psi) > ATOL_FIX:
+                raise ValueError(f"setting {s.label!r} does not fix the target")
+            if self.kind == "strategy":
+                if s.weight is None or s.weight <= 0:
+                    raise ValueError(
+                        f"setting {s.label!r} has non-positive weight {s.weight!r}"
+                    )
+                total += s.weight
+        if self.kind == "strategy" and abs(total - 1.0) > ATOL_WEIGHTS:
+            raise ValueError(f"weights sum to {total!r}, expected 1")
+        if self.circuits is not None:
+            circuits = tuple(self.circuits)
+            object.__setattr__(self, "circuits", circuits)
+            if self.kind != "sequential":
+                raise ValueError("only sequential protocols carry circuits")
+            if len(circuits) != len(settings):
+                raise ValueError("circuit count does not match setting count")
 
 
 def compose_sequential(
@@ -110,37 +162,37 @@ def compose_sequential(
     label: str = "sequential",
     theta: float | None = None,
     require_complete: bool = True,
-) -> SequentialProtocol:
+) -> Protocol:
     """Assemble a sequential protocol from system projectors.
 
     Every projector must fix the target. With ``require_complete`` the joint
-    pass space must collapse to the target alone; an incomplete set is
-    rejected because it certifies a larger subspace.
+    pass space must collapse to the target alone (see check_complete).
     """
-    mats = [linalg.as_matrix(p) for p in projectors]
-    if not mats:
-        raise ValueError("a protocol needs at least one setting")
+    projectors = list(projectors)
     if labels is None:
-        labels = [f"setting_{i}" for i in range(len(mats))]
-    psi = target.vector
-    settings = []
-    for name, m in zip(labels, mats):
-        if linalg.max_abs(m @ psi - psi) > ATOL_FIX:
-            raise ValueError(f"setting {name!r} does not fix the target")
-        settings.append(build_qnd_setting(m, label=name))
-    protocol = SequentialProtocol(
-        label=label, target=target, settings=settings, theta=theta
-    )
+        labels = [f"setting_{i}" for i in range(len(projectors))]
+    if len(labels) != len(projectors):
+        raise ValueError(f"{len(labels)} labels for {len(projectors)} projectors")
+    settings = [build_qnd_setting(p, label=name) for name, p in zip(labels, projectors)]
+    protocol = Protocol(label, target, settings, "sequential", theta=theta)
     if require_complete:
-        eff = effective_operator(protocol)
-        if linalg.max_abs(eff - target.projector()) > ATOL_FIX:
-            raise ValueError(
-                "incomplete verification set: joint pass space exceeds the target"
-            )
+        check_complete(protocol)
     return protocol
 
 
-def effective_operator(protocol: SequentialProtocol) -> np.ndarray:
+def check_complete(protocol: Protocol) -> None:
+    """Refuse a run whose joint pass space is larger than the target.
+
+    An incomplete set would certify that larger subspace, not the target.
+    """
+    eff = effective_operator(protocol)
+    if linalg.max_abs(eff - protocol.target.projector()) > ATOL_FIX:
+        raise ValueError(
+            "incomplete verification set: joint pass space exceeds the target"
+        )
+
+
+def effective_operator(protocol: Protocol) -> np.ndarray:
     """Product of the setting projectors in application order."""
     dim = protocol.target.dim
     out = linalg.identity(dim)
@@ -149,30 +201,65 @@ def effective_operator(protocol: SequentialProtocol) -> np.ndarray:
     return out
 
 
-def protocol_gap(protocol: SequentialProtocol) -> GapReport:
-    """Spectral gap of the sequential run, computed on the system alone.
+@dataclass(frozen=True)
+class GapReport:
+    """Spectral gap of a protocol operator.
 
-    The pass statistics of the full run are governed by the effective
-    operator, so its spectrum carries the gap. Only Hermitian effective
-    operators are supported; noncommuting incomplete sets fall outside this
-    reduction and are rejected.
+    nu = 1 - lambda2, and witness is a unit vector orthogonal to the target
+    achieving the second eigenvalue (the direction detected most slowly).
     """
-    eff = effective_operator(protocol)
-    if not linalg.is_hermitian(eff):
-        raise ValueError(
-            "effective operator is not Hermitian; gap undefined for this set"
-        )
+
+    nu: float
+    lambda2: float
+    witness: np.ndarray
+
+
+def protocol_gap(protocol: Protocol) -> GapReport:
+    """Gap between the top two eigenvalues of the protocol operator.
+
+    A strategy's operator is its mixed operator sum_i mu_i Omega_i. A
+    sequential run's is its effective operator, computed on the system
+    alone: the pass statistics of the full run are governed by it. Only
+    Hermitian effective operators are supported; noncommuting incomplete
+    sets fall outside this reduction and are rejected. The target must be
+    a fixed point; the second eigenvalue is read after deflating it.
+    """
+    if protocol.kind == "strategy":
+        dim = protocol.target.dim
+        op = np.zeros((dim, dim), dtype=complex)
+        for s in protocol.settings:
+            op += s.weight * s.projector
+    else:
+        op = effective_operator(protocol)
+        if not linalg.is_hermitian(op):
+            raise ValueError(
+                "effective operator is not Hermitian; gap undefined for this set"
+            )
     psi = protocol.target.vector
-    if linalg.max_abs(eff @ psi - psi) > ATOL_FIX:
-        raise ValueError("target is not a fixed point of the protocol")
-    deflated = eff - protocol.target.projector()
+    if linalg.max_abs(op @ psi - psi) > ATOL_FIX:
+        raise ValueError(f"target is not a fixed point of the {protocol.kind}")
+    deflated = op - protocol.target.projector()
     eig = linalg.hermitian_eigs(deflated)
     lambda2 = float(min(max(eig.values[0], 0.0), 1.0))
     witness = _orthogonal_witness(eig.vectors[:, 0], protocol.target)
     return GapReport(nu=1.0 - lambda2, lambda2=lambda2, witness=witness)
 
 
-def appended_setting_gap(protocol: SequentialProtocol, effect: np.ndarray) -> float:
+def _orthogonal_witness(candidate: np.ndarray, target: TargetState) -> np.ndarray:
+    """Unit witness orthogonal to the target, phase-fixed for determinism.
+
+    When the deflated operator is numerically zero (gap 1) its top eigenvector
+    is arbitrary and may align with the target; any orthogonal direction is
+    equally slow then, so fall back to the first basis complement.
+    """
+    psi = target.vector
+    resid = candidate - psi * np.vdot(psi, candidate)
+    if np.linalg.norm(resid) < 1e-8:
+        return states.first_orthogonal_complement(target)
+    return states.canonical_phase(states.normalize(resid))
+
+
+def appended_setting_gap(protocol: Protocol, effect: np.ndarray) -> float:
     """Gap after appending one more (possibly unsharp) pass effect.
 
     The effect may be any positive operator bounded by the identity. Returns
@@ -193,7 +280,7 @@ def appended_setting_gap(protocol: SequentialProtocol, effect: np.ndarray) -> fl
     return float(eig.values[0] - eig.values[1])
 
 
-def _check_materializable(protocol: SequentialProtocol) -> None:
+def _check_materializable(protocol: Protocol) -> None:
     l = len(protocol.settings)
     if l > MAX_MATERIALIZED_SETTINGS:
         raise ValueError(
@@ -207,7 +294,7 @@ def _ancilla_op(l: int, slot: int, op: np.ndarray) -> np.ndarray:
     return linalg.kron_all(*ops)
 
 
-def full_operator(protocol: SequentialProtocol) -> np.ndarray:
+def full_operator(protocol: Protocol) -> np.ndarray:
     """The run's pass operator on system plus one ancilla per setting.
 
     Register order is system first, then ancillas in setting order.
@@ -226,7 +313,7 @@ def full_operator(protocol: SequentialProtocol) -> np.ndarray:
     return out
 
 
-def summation_form(protocol: SequentialProtocol) -> np.ndarray:
+def summation_form(protocol: Protocol) -> np.ndarray:
     """Expansion of the run operator as a sum over ancilla bit patterns.
 
     Each pattern contributes the matching product of pass/reject projectors
@@ -248,7 +335,7 @@ def summation_form(protocol: SequentialProtocol) -> np.ndarray:
     return total
 
 
-def conditional_equivalence(protocol: SequentialProtocol, sigma: np.ndarray) -> float:
+def conditional_equivalence(protocol: Protocol, sigma: np.ndarray) -> float:
     """Deviation of the run operator from its system-only reduction.
 
     Applies the full pass operator to sigma with fresh ancillas and compares
@@ -275,7 +362,7 @@ def conditional_equivalence(protocol: SequentialProtocol, sigma: np.ndarray) -> 
     return dev
 
 
-def _source_density(protocol: SequentialProtocol, sigma: np.ndarray) -> np.ndarray:
+def _source_density(protocol: Protocol, sigma: np.ndarray) -> np.ndarray:
     """sigma as a matrix, refused unless it is a density matrix on the target."""
     sig = linalg.as_matrix(sigma)
     if not linalg.is_density_matrix(sig, atol=1e-8):
@@ -285,7 +372,7 @@ def _source_density(protocol: SequentialProtocol, sigma: np.ndarray) -> np.ndarr
     return sig
 
 
-def _passed_states(protocol: SequentialProtocol, sig: np.ndarray):
+def _passed_states(protocol: Protocol, sig: np.ndarray):
     """Yield sigma, then the unnormalized system state after each passed stage.
 
     On the pass branch the ancilla ends in |0> and the system copy becomes
@@ -298,7 +385,7 @@ def _passed_states(protocol: SequentialProtocol, sig: np.ndarray):
 
 
 def fidelity_transform(
-    protocol: SequentialProtocol, sigma: np.ndarray
+    protocol: Protocol, sigma: np.ndarray
 ) -> tuple[float, np.ndarray | None]:
     """Pass probability and conditional post-state of one sequential run.
 
@@ -314,7 +401,7 @@ def fidelity_transform(
 
 
 def stage_pass_probabilities(
-    protocol: SequentialProtocol, sigma: np.ndarray
+    protocol: Protocol, sigma: np.ndarray
 ) -> list[float]:
     """Conditional pass probability of each setting given all earlier passes.
 
@@ -339,40 +426,82 @@ def stage_pass_probabilities(
 # ---------------------------------------------------------------------------
 
 
-def protocol_to_dict(protocol: SequentialProtocol) -> dict:
-    """JSON-ready dict; compiled circuits are serialized separately."""
-    return {
+def complex_pairs(a) -> list[list[float]]:
+    """Row-major [re, im] pairs, the portable encoding of a vector or matrix."""
+    flat = np.asarray(a, dtype=complex).reshape(-1)
+    return [[float(z.real), float(z.imag)] for z in flat]
+
+
+def _from_pairs(pairs) -> np.ndarray:
+    return np.array([complex(re, im) for re, im in pairs], dtype=complex)
+
+
+def protocol_to_dict(protocol: Protocol) -> dict:
+    """JSON-ready dict; floats survive a round trip bit for bit.
+
+    A strategy document carries each setting's weight ``mu`` and the
+    ``analytic_nu``; a sequential one carries neither. Compiled circuits are
+    serialized separately.
+    """
+    strategy = protocol.kind == "strategy"
+    doc = {
         "schema": 1,
-        "kind": "sequential",
+        "kind": protocol.kind,
         "label": protocol.label,
         "target_label": protocol.target.label,
         "n_qubits": protocol.target.n_qubits,
         "theta": protocol.theta,
-        "target_amplitudes": _vector_pairs(protocol.target.vector),
-        "settings": [
-            {"label": s.label, "matrix": _matrix_pairs(s.projector)}
-            for s in protocol.settings
-        ],
     }
+    if strategy:
+        doc["analytic_nu"] = protocol.analytic_nu
+    doc["target_amplitudes"] = complex_pairs(protocol.target.vector)
+    doc["settings"] = [
+        {"label": s.label}
+        | ({"mu": float(s.weight)} if strategy else {})
+        | {"matrix": complex_pairs(s.projector)}
+        for s in protocol.settings
+    ]
+    return doc
 
 
-def protocol_from_dict(data: dict, require_complete: bool = True) -> SequentialProtocol:
-    if data.get("kind") != "sequential":
-        raise ValueError("not a sequential protocol document")
-    n = int(data["n_qubits"])
+def protocol_from_dict(data: dict, require_complete: bool = True) -> Protocol:
+    """Inverse of protocol_to_dict.
+
+    A sequential document must be complete unless ``require_complete`` is
+    off. A missing key is refused with a ValueError that names it.
+    """
+    kind = data.get("kind")
+    if kind not in KINDS:
+        raise ValueError(f"not a protocol document (kind {kind!r})")
+    strategy = kind == "strategy"
+    try:
+        n = int(data["n_qubits"])
+        target = TargetState(
+            label=data["target_label"],
+            n_qubits=n,
+            vector=_from_pairs(data["target_amplitudes"]),
+        )
+        entries = [
+            (s.get("label", f"setting_{i}"), _from_pairs(s["matrix"]),
+             float(s["mu"]) if strategy else None)
+            for i, s in enumerate(data["settings"])
+        ]
+    except KeyError as exc:
+        raise ValueError(f"{kind} document lacks {exc.args[0]!r}") from None
     dim = 2**n
-    target = TargetState(
-        label=data["target_label"],
-        n_qubits=n,
-        vector=_pairs_vector(data["target_amplitudes"]),
-    )
-    mats = [_pairs_matrix(s["matrix"], dim) for s in data["settings"]]
-    labels = [s.get("label", f"setting_{i}") for i, s in enumerate(data["settings"])]
-    return compose_sequential(
-        target,
-        mats,
-        labels=labels,
-        label=data.get("label", "sequential"),
+    settings = []
+    for name, flat, weight in entries:
+        if flat.size != dim * dim:
+            raise ValueError(f"expected {dim * dim} entries, got {flat.size}")
+        settings.append(build_qnd_setting(flat.reshape(dim, dim), name, weight))
+    protocol = Protocol(
+        label=data.get("label", kind),
+        target=target,
+        settings=settings,
+        kind=kind,
         theta=data.get("theta"),
-        require_complete=require_complete,
+        analytic_nu=data.get("analytic_nu") if strategy else None,
     )
+    if not strategy and require_complete:
+        check_complete(protocol)
+    return protocol

@@ -1,119 +1,29 @@
-"""Verification strategies: weighted projective settings and their spectral gaps.
+"""Catalog strategies: weighted projective settings that verify one target.
 
-A strategy is a convex mixture of projective pass tests that all accept the
-target state with certainty. Its detection power on a copy-by-copy source is
-governed by the gap between the top two eigenvalues of the mixed operator.
+A strategy is a Protocol of kind ``strategy``: a convex mixture of
+projective pass tests that all accept the target state with certainty. Its
+detection power on a copy-by-copy source is governed by the gap between the
+top two eigenvalues of the mixed operator (sequential.protocol_gap, here
+also named spectral_gap). This module holds the catalog builders, the GHZ
+generator words and the copy budget a gap implies; the types, the gap and
+the serializer live in ``sequential``, which never imports this module.
 """
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import linalg, states
-from .states import StabilizerGroupSpec, TargetState
-
-ATOL_FIX = 1e-9       # settings must fix the target this tightly
-ATOL_WEIGHTS = 1e-12  # weight normalization
+from . import sequential as seq
+from .sequential import Protocol
+from .sequential import protocol_gap as spectral_gap
+from .states import StabilizerGroupSpec
 
 _GROUP_MAX_QUBITS = 6  # full group enumeration is 2^n settings
-
-
-@dataclass(frozen=True)
-class Setting:
-    """One projective pass test with its sampling weight."""
-
-    label: str
-    weight: float
-    projector: np.ndarray
-
-
-@dataclass
-class Strategy:
-    """Weighted collection of projective settings verifying one target."""
-
-    label: str
-    target: TargetState
-    settings: list[Setting]
-    theta: float | None = None
-    analytic_nu: float | None = None
-
-    def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
-        if not self.settings:
-            raise ValueError("a strategy needs at least one setting")
-        total = 0.0
-        psi = self.target.vector
-        for s in self.settings:
-            if s.weight <= 0:
-                raise ValueError(f"setting {s.label!r} has non-positive weight")
-            total += s.weight
-            p = linalg.as_matrix(s.projector)
-            if p.shape[0] != self.target.dim:
-                raise ValueError(f"setting {s.label!r} dimension mismatch")
-            if not linalg.is_projector(p):
-                raise ValueError(f"setting {s.label!r} is not a projector")
-            if linalg.max_abs(p @ psi - psi) > ATOL_FIX:
-                raise ValueError(f"setting {s.label!r} does not fix the target")
-        if abs(total - 1.0) > ATOL_WEIGHTS:
-            raise ValueError(f"weights sum to {total!r}, expected 1")
-
-    def mixed_operator(self) -> np.ndarray:
-        """The weighted strategy operator sum_i mu_i Omega_i."""
-        out = np.zeros((self.target.dim, self.target.dim), dtype=complex)
-        for s in self.settings:
-            out += s.weight * s.projector
-        return out
-
-
-@dataclass(frozen=True)
-class GapReport:
-    """Spectral gap of a strategy operator.
-
-    nu = 1 - lambda2, and witness is a unit vector orthogonal to the target
-    achieving the second eigenvalue (the direction detected most slowly).
-    """
-
-    nu: float
-    lambda2: float
-    witness: np.ndarray
-
-
-def spectral_gap(strategy: Strategy) -> GapReport:
-    """Gap between the top two eigenvalues of the strategy operator.
-
-    The target must be the unique fixed point direction contributing the top
-    eigenvalue 1; the second eigenvalue is extracted after deflating the
-    target component.
-    """
-    omega = strategy.mixed_operator()
-    psi = strategy.target.vector
-    if linalg.max_abs(omega @ psi - psi) > ATOL_FIX:
-        raise ValueError("target is not a fixed point of the strategy operator")
-    deflated = omega - linalg.projector_onto(psi)
-    eig = linalg.hermitian_eigs(deflated)
-    lambda2 = float(min(max(eig.values[0], 0.0), 1.0))
-    witness = _orthogonal_witness(eig.vectors[:, 0], strategy.target)
-    return GapReport(nu=1.0 - lambda2, lambda2=lambda2, witness=witness)
-
-
-def _orthogonal_witness(candidate: np.ndarray, target: TargetState) -> np.ndarray:
-    """Unit witness orthogonal to the target, phase-fixed for determinism.
-
-    When the deflated operator is numerically zero (gap 1) its top eigenvector
-    is arbitrary and may align with the target; any orthogonal direction is
-    equally slow then, so fall back to the first basis complement.
-    """
-    psi = target.vector
-    resid = candidate - psi * np.vdot(psi, candidate)
-    if np.linalg.norm(resid) < 1e-8:
-        return states.first_orthogonal_complement(target)
-    return states.canonical_phase(states.normalize(resid))
 
 
 def sample_complexity(nu: float, epsilon: float, delta: float) -> tuple[int, int]:
@@ -148,16 +58,17 @@ def _pz_pair() -> np.ndarray:
     return (linalg.identity(4) + states.pauli_operator("+ZZ")) / 2.0
 
 
-def bell_minimal() -> Strategy:
+def bell_minimal() -> Protocol:
     """Two-setting Bell verification: even parity in Z and in X, weight 1/2 each."""
     target = states.bell_state()
     half = float(Fraction(1, 2))
     eye = linalg.identity(4)
     settings = [
-        Setting("+ZZ", half, _pz_pair()),
-        Setting("+XX", half, (eye + states.pauli_operator("+XX")) / 2.0),
+        seq.build_qnd_setting(_pz_pair(), "+ZZ", half),
+        seq.build_qnd_setting((eye + states.pauli_operator("+XX")) / 2.0, "+XX", half),
     ]
-    return Strategy(
+    return Protocol(
+        kind="strategy",
         label="bell_minimal",
         target=target,
         settings=settings,
@@ -165,11 +76,10 @@ def bell_minimal() -> Strategy:
     )
 
 
-def bell_stabilizer_group() -> Strategy:
+def bell_stabilizer_group() -> Protocol:
     """Bell verification over the full stabilizer group, weight 1/3 each."""
     strat = stabilizer_full_group(StabilizerGroupSpec(("+ZZ", "+XX")))
-    strat.label = "bell_group"
-    return strat
+    return dataclasses.replace(strat, label="bell_group")
 
 
 def _plus() -> np.ndarray:
@@ -180,7 +90,7 @@ def _minus() -> np.ndarray:
     return np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0)
 
 
-def two_qubit_three(theta: float) -> Strategy:
+def two_qubit_three(theta: float) -> Protocol:
     """Three-setting strategy for sin|00> + cos|11>, gap 1/3 at every theta."""
     target = states.two_qubit_pure(theta)
     c, s = math.cos(theta), math.sin(theta)
@@ -191,11 +101,12 @@ def two_qubit_three(theta: float) -> Strategy:
     omega3 = eye - np.kron(linalg.projector_onto(_minus()), linalg.projector_onto(phi_m))
     third = float(Fraction(1, 3))
     settings = [
-        Setting("parity", third, _pz_pair()),
-        Setting("reject_plus", third, omega2),
-        Setting("reject_minus", third, omega3),
+        seq.build_qnd_setting(_pz_pair(), "parity", third),
+        seq.build_qnd_setting(omega2, "reject_plus", third),
+        seq.build_qnd_setting(omega3, "reject_minus", third),
     ]
-    return Strategy(
+    return Protocol(
+        kind="strategy",
         label="two_qubit_three",
         target=target,
         settings=settings,
@@ -204,7 +115,7 @@ def two_qubit_three(theta: float) -> Strategy:
     )
 
 
-def two_qubit_four(theta: float) -> Strategy:
+def two_qubit_four(theta: float) -> Protocol:
     """Weighted four-setting strategy with gap 1/(2 + sin cos)."""
     target = states.two_qubit_pure(theta)
     eye = linalg.identity(4)
@@ -224,12 +135,13 @@ def two_qubit_four(theta: float) -> Strategy:
     ]
     alpha = (2.0 - math.sin(2.0 * theta)) / (4.0 + math.sin(2.0 * theta))
     rest = (1.0 - alpha) / 3.0
-    settings = [Setting("parity", alpha, _pz_pair())]
+    settings = [seq.build_qnd_setting(_pz_pair(), "parity", alpha)]
     for k, vec in enumerate(rejected, start=1):
         settings.append(
-            Setting(f"reject_{k}", rest, eye - linalg.projector_onto(vec))
+            seq.build_qnd_setting(eye - linalg.projector_onto(vec), f"reject_{k}", rest)
         )
-    return Strategy(
+    return Protocol(
+        kind="strategy",
         label="two_qubit_four",
         target=target,
         settings=settings,
@@ -262,15 +174,16 @@ def adaptive_y_projector(theta: float) -> np.ndarray:
     return _branch_projector(theta, 1)
 
 
-def adaptive_two(theta: float) -> Strategy:
+def adaptive_two(theta: float) -> Protocol:
     """Two-setting adaptive strategy: parity check plus the branch projector."""
     target = states.two_qubit_pure(theta)
     half = float(Fraction(1, 2))
     settings = [
-        Setting("parity", half, _pz_pair()),
-        Setting("adaptive_x", half, adaptive_x_projector(theta)),
+        seq.build_qnd_setting(_pz_pair(), "parity", half),
+        seq.build_qnd_setting(adaptive_x_projector(theta), "adaptive_x", half),
     ]
-    return Strategy(
+    return Protocol(
+        kind="strategy",
         label="adaptive_two",
         target=target,
         settings=settings,
@@ -279,17 +192,18 @@ def adaptive_two(theta: float) -> Strategy:
     )
 
 
-def adaptive_three(theta: float) -> Strategy:
+def adaptive_three(theta: float) -> Protocol:
     """Three-setting adaptive strategy with gap 1/(1 + cos^2)."""
     target = states.two_qubit_pure(theta)
     c2 = math.cos(theta) ** 2
     norm = 1.0 + c2
     settings = [
-        Setting("parity", c2 / norm, _pz_pair()),
-        Setting("adaptive_x", 0.5 / norm, adaptive_x_projector(theta)),
-        Setting("adaptive_y", 0.5 / norm, adaptive_y_projector(theta)),
+        seq.build_qnd_setting(_pz_pair(), "parity", c2 / norm),
+        seq.build_qnd_setting(adaptive_x_projector(theta), "adaptive_x", 0.5 / norm),
+        seq.build_qnd_setting(adaptive_y_projector(theta), "adaptive_y", 0.5 / norm),
     ]
-    return Strategy(
+    return Protocol(
+        kind="strategy",
         label="adaptive_three",
         target=target,
         settings=settings,
@@ -298,16 +212,17 @@ def adaptive_three(theta: float) -> Strategy:
     )
 
 
-def stabilizer_generators(spec: StabilizerGroupSpec) -> Strategy:
+def stabilizer_generators(spec: StabilizerGroupSpec) -> Protocol:
     """Uniform strategy over the generator checks, gap 1/n."""
     target = states.stabilizer_state(spec)
     n = len(spec.generators)
     w = float(Fraction(1, n))
     settings = [
-        Setting(g, w, p)
+        seq.build_qnd_setting(p, g, w)
         for g, p in zip(spec.generators, states.stabilizer_projectors(spec))
     ]
-    return Strategy(
+    return Protocol(
+        kind="strategy",
         label="stabilizer_generators",
         target=target,
         settings=settings,
@@ -315,7 +230,7 @@ def stabilizer_generators(spec: StabilizerGroupSpec) -> Strategy:
     )
 
 
-def stabilizer_full_group(spec: StabilizerGroupSpec) -> Strategy:
+def stabilizer_full_group(spec: StabilizerGroupSpec) -> Protocol:
     """Uniform strategy over every non-identity group element.
 
     Gap 2^(n-1)/(2^n - 1). Enumeration is exponential, so the group form is
@@ -331,10 +246,11 @@ def stabilizer_full_group(spec: StabilizerGroupSpec) -> Strategy:
     w = float(Fraction(1, len(members)))
     eye = linalg.identity(target.dim)
     settings = [
-        Setting(word, w, (eye + states.pauli_operator(word)) / 2.0)
+        seq.build_qnd_setting((eye + states.pauli_operator(word)) / 2.0, word, w)
         for word in members
     ]
-    return Strategy(
+    return Protocol(
+        kind="strategy",
         label="stabilizer_group",
         target=target,
         settings=settings,
@@ -353,78 +269,3 @@ def ghz_generator_spec(n: int) -> StabilizerGroupSpec:
         body[k] = "Z"
         gens.append("+" + "".join(body))
     return StabilizerGroupSpec(tuple(gens))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def _matrix_pairs(m: np.ndarray) -> list[list[float]]:
-    """Row-major [re, im] pairs, the portable matrix encoding."""
-    flat = np.asarray(m, dtype=complex).reshape(-1)
-    return [[float(z.real), float(z.imag)] for z in flat]
-
-
-def _pairs_matrix(pairs: list[list[float]], dim: int) -> np.ndarray:
-    if len(pairs) != dim * dim:
-        raise ValueError(f"expected {dim * dim} entries, got {len(pairs)}")
-    flat = np.array([complex(re, im) for re, im in pairs], dtype=complex)
-    return flat.reshape(dim, dim)
-
-
-def _vector_pairs(v: np.ndarray) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(v, dtype=complex)]
-
-
-def _pairs_vector(pairs: list[list[float]]) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in pairs], dtype=complex)
-
-
-def strategy_to_dict(strategy: Strategy) -> dict:
-    """JSON-ready dict; floats survive a round trip bit for bit."""
-    return {
-        "schema": 1,
-        "kind": "strategy",
-        "label": strategy.label,
-        "target_label": strategy.target.label,
-        "n_qubits": strategy.target.n_qubits,
-        "theta": strategy.theta,
-        "analytic_nu": strategy.analytic_nu,
-        "target_amplitudes": _vector_pairs(strategy.target.vector),
-        "settings": [
-            {
-                "label": s.label,
-                "mu": float(s.weight),
-                "matrix": _matrix_pairs(s.projector),
-            }
-            for s in strategy.settings
-        ],
-    }
-
-
-def strategy_from_dict(data: dict) -> Strategy:
-    if data.get("kind") != "strategy":
-        raise ValueError("not a strategy document")
-    n = int(data["n_qubits"])
-    dim = 2**n
-    target = TargetState(
-        label=data["target_label"],
-        n_qubits=n,
-        vector=_pairs_vector(data["target_amplitudes"]),
-    )
-    settings = [
-        Setting(
-            label=s.get("label", f"setting_{i}"),
-            weight=float(s["mu"]),
-            projector=_pairs_matrix(s["matrix"], dim),
-        )
-        for i, s in enumerate(data["settings"])
-    ]
-    return Strategy(
-        label=data.get("label", "strategy"),
-        target=target,
-        settings=settings,
-        theta=data.get("theta"),
-        analytic_nu=data.get("analytic_nu"),
-    )

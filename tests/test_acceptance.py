@@ -45,7 +45,7 @@ def _random_unit(gen: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def test_criterion_01_spectral_gap_regression():
-    cases: list[tuple[strategies.Strategy, float]] = [
+    cases: list[tuple[seq.Protocol, float]] = [
         (strategies.bell_minimal(), 0.5),
         (strategies.bell_stabilizer_group(), 2.0 / 3.0),
         (strategies.stabilizer_generators(strategies.ghz_generator_spec(3)), 1.0 / 3.0),
@@ -64,7 +64,7 @@ def test_criterion_01_spectral_gap_regression():
     _finish(1, dev, 1e-8, f"{len(cases)} gap evaluations")
 
 
-def _theorem_protocols() -> list[seq.SequentialProtocol]:
+def _theorem_protocols() -> list[seq.Protocol]:
     protos = [catalog.sequential_bell()]
     for theta in (0.15, 0.3, 0.45, 0.6, 0.7):
         protos.append(catalog.sequential_two_qubit(theta))

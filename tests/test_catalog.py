@@ -58,7 +58,7 @@ def test_unknown_selector():
 
 def test_sequential_bell_carries_circuits():
     proto = catalog.build_sequential("bell")
-    assert isinstance(proto, seq.SequentialProtocol)
+    assert isinstance(proto, seq.Protocol) and proto.kind == "sequential"
     assert len(proto.circuits) == len(proto.settings) == 2
     eff = seq.effective_operator(proto)
     assert linalg.max_abs(eff - proto.target.projector()) < 1e-12

@@ -52,7 +52,7 @@ def test_reject_rule_tail_validation():
 def test_apply_requires_outcome_source():
     parity = circ.compile_bell()[0]
     vec = circ.fresh_input(parity, states.bell_state().vector)
-    with pytest.raises(ValueError, match="supply rng"):
+    with pytest.raises(ValueError, match="supply uniforms"):
         circ.apply(parity, vec)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -148,6 +149,32 @@ def test_spec_stores_numpy_integers_as_int():
     spec = harness.ExperimentSpec(strat, _pure(), np.int64(10), np.uint64(2**64 - 1))
     assert type(spec.n_copies) is int and spec.n_copies == 10
     assert type(spec.seed) is int and spec.seed == 2**64 - 1
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        # each of these used to go through: 1.5 replayed seed 1, "gpu" reached
+        # the circuit branch, 0 divided by zero
+        ("seed", 1.5),
+        ("backend", "gpu"),
+        ("n_copies", 0),
+        ("mode", "count_frequency"),
+        ("noise", _pure()),
+        ("protocol", None),
+    ],
+)
+def test_spec_fields_cannot_be_assigned(field, value):
+    spec = harness.ExperimentSpec(catalog.build_strategy("bell"), _pure(), 10, 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(spec, field, value)
+    assert (spec.seed, spec.backend, spec.n_copies) == (1, "matrix", 10)
+
+
+@pytest.mark.parametrize("protocol", [None, "bell", {"kind": "strategy"}])
+def test_spec_refuses_a_non_protocol(protocol):
+    with pytest.raises(ValueError, match=f"got {type(protocol).__name__}"):
+        harness.ExperimentSpec(protocol, _pure(), 10, 1)
 
 
 def test_circuit_backend_needs_sequential():
@@ -330,15 +357,14 @@ _CHUNKED_CASES = {
 
 
 def _slots(protocol) -> int:
-    strategy = harness._protocol_kind(protocol) == "strategy"
-    return 1 + (2 if strategy else len(protocol.settings))
+    return 1 + (2 if protocol.kind == "strategy" else len(protocol.settings))
 
 
 def _one_shot_counts(spec):
     """(n_run, n_pass, attempts, passes), copy by copy from the whole table."""
     protocol = spec.protocol
-    strategy = harness._protocol_kind(protocol) == "strategy"
-    _, witness = harness._protocol_nu_witness(protocol)
+    strategy = protocol.kind == "strategy"
+    witness = harness.spectral_gap(protocol).witness
     members = harness._source_ensemble(protocol, spec.noise, witness)
     l = len(protocol.settings)
     member_cdf = np.cumsum([w for w, _ in members])
@@ -379,7 +405,7 @@ def _one_shot_counts(spec):
 def _one_shot_circuit_counts(spec):
     """(n_run, n_pass, attempts, passes), running every circuit copy by copy."""
     protocol = spec.protocol
-    _, witness = harness._protocol_nu_witness(protocol)
+    witness = harness.spectral_gap(protocol).witness
     members = harness._source_ensemble(protocol, spec.noise, witness)
     spans = [harness._circuit_event_slots(c) for c in protocol.circuits]
     table = rng.uniform_table(spec.seed, spec.n_copies, 1 + sum(spans))

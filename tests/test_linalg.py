@@ -71,21 +71,5 @@ def test_hermitian_eigs_reconstructs(dim, seed):
     assert linalg.max_abs(recon - h) < 1e-10
 
 
-def test_partial_trace_product_state():
-    a = np.array([[0.7, 0.1], [0.1, 0.3]], dtype=complex)
-    b = np.array([[0.2, 0.0], [0.0, 0.8]], dtype=complex)
-    joint = np.kron(a, b)
-    assert linalg.max_abs(linalg.partial_trace(joint, (2, 2), keep=0) - a) < 1e-12
-    assert linalg.max_abs(linalg.partial_trace(joint, (2, 2), keep=1) - b) < 1e-12
-
-
-def test_partial_trace_entangled():
-    v = np.zeros(4, dtype=complex)
-    v[0] = v[3] = 1.0 / np.sqrt(2.0)
-    rho = np.outer(v, v.conj())
-    reduced = linalg.partial_trace(rho, (2, 2), keep=0)
-    assert linalg.max_abs(reduced - np.eye(2) / 2.0) < 1e-12
-
-
 def test_max_abs():
     assert linalg.max_abs(np.array([[1.0, -3.0], [0.5, 2.0]])) == 3.0

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -46,7 +47,7 @@ def test_qnd_setting_structure():
 
 def test_lifted_matrices_are_built_on_first_access_only():
     setting = seq.build_qnd_setting(bell_projectors()[0])
-    assert set(vars(setting)) == {"label", "projector"}
+    assert set(vars(setting)) == {"label", "projector", "weight"}
     assert setting.m_pass is setting.m_pass
     assert "_lifted" in vars(setting)
 
@@ -60,7 +61,7 @@ def test_runs_never_build_lifted_matrices():
     seq.fidelity_transform(protocol, sigma)
     seq.stage_pass_probabilities(protocol, sigma)
     for setting in protocol.settings:
-        assert set(vars(setting)) == {"label", "projector"}
+        assert set(vars(setting)) == {"label", "projector", "weight"}
 
 
 def _lifted_member_probs(protocol, members):
@@ -120,6 +121,12 @@ def test_compose_rejects_incomplete_set():
     # explicitly allowed when completeness is waived
     protocol = seq.compose_sequential(target, only_parity, require_complete=False)
     assert len(protocol.settings) == 1
+
+
+def test_compose_refuses_labels_that_do_not_match_the_projectors():
+    # zip used to drop the unlabelled projectors silently
+    with pytest.raises(ValueError, match="1 labels for 2 projectors"):
+        seq.compose_sequential(states.bell_state(), bell_projectors(), labels=["zz"])
 
 
 def test_effective_operator_is_target_projector():
@@ -292,5 +299,135 @@ def test_protocol_serialization_roundtrip():
 
 
 def test_protocol_from_dict_rejects_other_kinds():
-    with pytest.raises(ValueError):
-        seq.protocol_from_dict({"kind": "strategy"})
+    # a document of either kind that lacks its fields names the missing key
+    for kind in ("strategy", "sequential"):
+        with pytest.raises(ValueError, match="lacks 'n_qubits'"):
+            seq.protocol_from_dict({"kind": kind})
+    for kind in (None, "bogus", "Strategy"):
+        with pytest.raises(ValueError, match="not a protocol document"):
+            seq.protocol_from_dict({"kind": kind})
+    doc = seq.protocol_to_dict(catalog.sequential_bell())
+    doc["kind"] = "strategy"
+    with pytest.raises(ValueError, match="lacks 'mu'"):
+        seq.protocol_from_dict(doc)
+
+
+# ---------------------------------------------------------------------------
+# one frozen Protocol and Setting
+# ---------------------------------------------------------------------------
+
+
+def _nonprojector():
+    return 2.0 * states.bell_state().projector()
+
+
+def test_every_construction_path_refuses_a_nonprojector():
+    target = states.bell_state()
+    with pytest.raises(ValueError, match="not a projector"):
+        seq.Setting("a", _nonprojector(), 1.0)
+    with pytest.raises(ValueError, match="not a projector"):
+        seq.build_qnd_setting(_nonprojector(), "a")
+    with pytest.raises(ValueError, match="not a projector"):
+        seq.compose_sequential(target, [_nonprojector()], require_complete=False)
+    for protocol in (catalog.build_strategy("bell"), catalog.build_sequential("bell")):
+        doc = seq.protocol_to_dict(protocol)
+        doc["settings"][0]["matrix"] = seq.complex_pairs(_nonprojector())
+        with pytest.raises(ValueError, match="not a projector"):
+            seq.protocol_from_dict(doc)
+
+
+def test_protocol_checks_its_fields_when_built():
+    strat = catalog.build_strategy("bell")
+    with pytest.raises(ValueError, match="unknown protocol kind"):
+        dataclasses.replace(strat, kind="mixed")
+    with pytest.raises(ValueError, match="at least one setting"):
+        dataclasses.replace(strat, settings=())
+    with pytest.raises(ValueError, match="expected a Setting"):
+        dataclasses.replace(strat, settings=(strat.settings[0].projector,))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        dataclasses.replace(strat, target=states.ghz(3))
+    circuits = catalog.build_sequential("bell").circuits
+    with pytest.raises(ValueError, match="only sequential"):
+        dataclasses.replace(strat, circuits=circuits)
+    seq_bell = catalog.build_sequential("bell")
+    with pytest.raises(ValueError, match="circuit count"):
+        dataclasses.replace(seq_bell, circuits=circuits[:1])
+
+
+def test_protocols_and_settings_compare_and_hash_by_identity():
+    a, b = catalog.build_strategy("bell"), catalog.build_strategy("bell")
+    assert a.settings[0] != b.settings[0] and a.settings[0] == a.settings[0]
+    assert len({a, b, a}) == 2 and len(set(a.settings + b.settings)) == 4
+
+
+def test_settings_and_circuits_are_tuples():
+    protocol = seq.compose_sequential(states.bell_state(), bell_projectors())
+    assert isinstance(protocol.settings, tuple)
+    assert isinstance(catalog.build_sequential("bell").circuits, tuple)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("label", "x"), ("target", None), ("settings", ()), ("kind", "strategy"),
+     ("theta", 0.1), ("analytic_nu", 1.0), ("circuits", None)],
+)
+def test_protocol_fields_cannot_be_assigned(field, value):
+    protocol = catalog.build_sequential("bell")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(protocol, field, value)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("label", "x"), ("projector", np.eye(4)), ("weight", 1.0)]
+)
+def test_setting_fields_cannot_be_assigned(field, value):
+    setting = catalog.build_strategy("bell").settings[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(setting, field, value)
+
+
+def test_settings_cannot_be_appended():
+    protocol = catalog.build_sequential("bell")
+    with pytest.raises(AttributeError):
+        protocol.settings.append(seq.Setting("bogus", np.eye(4)))
+
+
+def test_projectors_are_read_only_views_of_their_source():
+    protocol = catalog.build_sequential("bell")
+    with pytest.raises(ValueError, match="read-only"):
+        protocol.settings[0].projector[0, 0] = 2.0
+    source = bell_projectors()[0].copy()
+    setting = seq.Setting("parity", source)
+    assert np.shares_memory(setting.projector, source)
+    assert source.flags.writeable
+
+
+def test_sequential_run_reuses_the_strategy_settings(monkeypatch):
+    strat = strategies.adaptive_two(0.55)
+    monkeypatch.setattr(strategies, "adaptive_two", lambda theta: strat)
+    protocol = catalog.build_sequential("adaptive_two", 0.55)
+    assert protocol.settings == strat.settings
+    assert all(a is b for a, b in zip(protocol.settings, strat.settings))
+    assert (protocol.kind, protocol.analytic_nu, protocol.theta) == ("sequential", None, 0.55)
+    assert (strat.kind, strat.label) == ("strategy", "adaptive_two")
+
+
+def test_a_sequential_build_checks_each_projector_once(monkeypatch):
+    calls = []
+    is_projector = linalg.is_projector
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return is_projector(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "is_projector", counting)
+    protocol = catalog.build_sequential("ghz4")
+    assert len(calls) == len(protocol.settings) == 4
+
+
+def test_gap_reads_the_operator_from_the_kind():
+    strat = catalog.build_strategy("ghz3")
+    run = dataclasses.replace(strat, kind="sequential", analytic_nu=None)
+    assert seq.protocol_gap(strat).nu == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert seq.protocol_gap(run).nu == pytest.approx(1.0, abs=1e-12)
+    assert strategies.spectral_gap is seq.protocol_gap is harness.spectral_gap

@@ -5,47 +5,36 @@ import numpy as np
 import pytest
 
 from ndqv import linalg, states, strategies
+from ndqv import sequential as seq
+from ndqv.sequential import Protocol, Setting
+
+
+def _strategy(target, *settings):
+    return Protocol("bad", target, settings, "strategy")
 
 
 def test_strategy_validation_weights():
     target = states.bell_state()
     proj = target.projector()
     with pytest.raises(ValueError, match="weights sum"):
-        strategies.Strategy(
-            label="bad",
-            target=target,
-            settings=[strategies.Setting("a", 0.5, proj)],
-        )
+        _strategy(target, Setting("a", proj, 0.5))
     with pytest.raises(ValueError, match="non-positive"):
-        strategies.Strategy(
-            label="bad",
-            target=target,
-            settings=[
-                strategies.Setting("a", 1.5, proj),
-                strategies.Setting("b", -0.5, proj),
-            ],
-        )
+        _strategy(target, Setting("a", proj, 1.5), Setting("b", proj, -0.5))
+    with pytest.raises(ValueError, match="non-positive"):
+        _strategy(target, Setting("a", proj))
 
 
 def test_strategy_validation_fixing():
     target = states.bell_state()
     wrong = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
     with pytest.raises(ValueError, match="does not fix"):
-        strategies.Strategy(
-            label="bad",
-            target=target,
-            settings=[strategies.Setting("a", 1.0, wrong)],
-        )
+        _strategy(target, Setting("a", wrong, 1.0))
 
 
 def test_strategy_validation_projector():
     target = states.bell_state()
     with pytest.raises(ValueError, match="not a projector"):
-        strategies.Strategy(
-            label="bad",
-            target=target,
-            settings=[strategies.Setting("a", 1.0, 2.0 * target.projector())],
-        )
+        _strategy(target, Setting("a", 2.0 * target.projector(), 1.0))
 
 
 def test_bell_minimal_gap():
@@ -64,7 +53,7 @@ def test_bell_group_gap():
 def test_witness_achieves_lambda2():
     strat = strategies.two_qubit_three(0.5)
     report = strategies.spectral_gap(strat)
-    omega = strat.mixed_operator()
+    omega = sum(s.weight * s.projector for s in strat.settings)
     rayleigh = float(np.real(np.vdot(report.witness, omega @ report.witness)))
     assert abs(rayleigh - report.lambda2) < 1e-9
 
@@ -139,8 +128,9 @@ def test_sample_complexity_exact_at_most_approx():
 
 def test_serialization_roundtrip_json():
     strat = strategies.two_qubit_four(0.37)
-    blob = json.dumps(strategies.strategy_to_dict(strat), sort_keys=True)
-    back = strategies.strategy_from_dict(json.loads(blob))
+    blob = json.dumps(seq.protocol_to_dict(strat), sort_keys=True)
+    back = seq.protocol_from_dict(json.loads(blob))
+    assert back.kind == "strategy"
     assert back.label == strat.label
     assert back.theta == strat.theta
     assert back.analytic_nu == strat.analytic_nu
@@ -152,8 +142,16 @@ def test_serialization_roundtrip_json():
 
 
 def test_strategy_from_dict_rejects_other_kinds():
+    # a sequential document is never read back as a strategy
     with pytest.raises(ValueError):
-        strategies.strategy_from_dict({"kind": "sequential"})
+        seq.protocol_from_dict({"kind": "sequential"})
+    doc = seq.protocol_to_dict(strategies.bell_minimal())
+    doc["kind"] = "sequential"
+    assert seq.protocol_from_dict(doc, require_complete=False).kind == "sequential"
+    for kind in ("Strategy", "bogus", None):
+        doc["kind"] = kind
+        with pytest.raises(ValueError, match="not a protocol document"):
+            seq.protocol_from_dict(doc)
 
 
 def test_weights_are_exact_for_uniform_strategies():
