@@ -20,6 +20,15 @@ per chunk and a stop_on_fail run draws nothing past the chunk of its first
 failure. The circuit backend still draws its whole table as one block, but
 runs each compiled circuit only once per reached (member, stage, outcome
 bits) node of a per-run threshold tree, not once per copy.
+
+What is cached: the matrix backend's decision table, that is the
+(members x settings) threshold matrix and the member cdf, one read-only
+entry per NoiseSpec, kept on the Protocol for as long as the protocol
+lives. The first run with a noise spec builds it from the source ensemble;
+later runs skip the ensemble and the member-probability pass. An entry never
+holds the member vectors. The gap (nu and the worst-case witness) is still
+computed on every run, and the circuit backend still builds its members and
+its threshold tree per run.
 """
 from __future__ import annotations
 
@@ -64,6 +73,8 @@ class ExperimentSpec:
             raise ValueError(
                 f"protocol must be a Protocol, got {type(self.protocol).__name__}"
             )
+        if not isinstance(self.noise, NoiseSpec):
+            raise ValueError(f"noise must be a NoiseSpec, got {type(self.noise).__name__}")
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.mode not in MODES:
@@ -271,13 +282,18 @@ def _system_state_after(circuit: circ.Circuit, out: np.ndarray) -> np.ndarray:
 
 
 def _counts_from_bits(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-stage reach/pass counts given the (copies, stages) pass-bit matrix."""
-    through = np.logical_and.accumulate(bits, axis=1)
-    reach = np.ones_like(bits)
-    reach[:, 1:] = through[:, :-1]
-    attempts = reach.sum(axis=0)
-    passes = (reach & bits).sum(axis=0)
-    return through[:, -1], attempts, passes
+    """Per-stage reach/pass counts given the (copies, stages) pass-bit matrix.
+
+    A copy that passes its first k stages and fails stage k (k = stages when
+    it passes all) attempts stages 0..k and passes stages 0..k-1, so both
+    counts are tail sums of the histogram of k.
+    """
+    l = bits.shape[1]
+    k = np.argmin(bits, axis=1)
+    copy_ok = bits[np.arange(len(bits)), k]
+    k[copy_ok] = l
+    reached = np.bincount(k, minlength=l + 1)[::-1].cumsum()[::-1]
+    return copy_ok, reached[:-1], reached[1:]
 
 
 def _member_cdf(members) -> np.ndarray:
@@ -285,10 +301,33 @@ def _member_cdf(members) -> np.ndarray:
     return _cdf([w for w, _ in members])
 
 
-def _strategy_decider(protocol: Protocol, members):
+def _decision_table(
+    protocol: Protocol, noise: NoiseSpec, witness: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The matrix backend's (member thresholds, member cdf) for this noise.
+
+    Computed on the first run of each noise spec and kept, read-only, on the
+    protocol. The witness is the protocol's own gap eigenvector, so the
+    noise spec alone keys the table. Two threads that miss at once build
+    equal tables, and either store is correct.
+    """
+    tables = protocol._decision_tables
+    table = tables.get(noise)
+    if table is None:
+        members = _source_ensemble(protocol, noise, witness)
+        if protocol.kind == "strategy":
+            probs = _strategy_member_probs(protocol, members)
+        else:
+            probs = _sequential_member_probs(protocol, members)
+        table = (probs, _member_cdf(members))
+        for array in table:
+            array.flags.writeable = False
+        tables[noise] = table
+    return table
+
+
+def _strategy_decider(protocol: Protocol, probs: np.ndarray, member_cdf: np.ndarray):
     """Per-chunk decision of a sampled strategy: slot 1 picks the setting."""
-    probs = _strategy_member_probs(protocol, members)
-    member_cdf = _member_cdf(members)
     setting_cdf = _cdf([float(s.weight) for s in protocol.settings])
     l = len(protocol.settings)
 
@@ -301,10 +340,8 @@ def _strategy_decider(protocol: Protocol, members):
     return decide
 
 
-def _sequential_decider(protocol: Protocol, members):
+def _sequential_decider(probs: np.ndarray, member_cdf: np.ndarray):
     """Per-chunk decision of a sequential protocol: one slot per stage."""
-    probs = _sequential_member_probs(protocol, members)
-    member_cdf = _member_cdf(members)
 
     def decide(u: np.ndarray):
         return _counts_from_bits(u[:, 1:] < probs[_pick(member_cdf, u[:, 0])])
@@ -436,22 +473,23 @@ def run_experiment(spec: ExperimentSpec) -> RunReport:
 
     gap = spectral_gap(protocol)
     nu = gap.nu
-    members = _source_ensemble(protocol, spec.noise, gap.witness)
 
     n = spec.n_copies
     if spec.backend == "matrix":
+        probs, member_cdf = _decision_table(protocol, spec.noise, gap.witness)
         if kind == "strategy":
             slots = 3
-            decide = _strategy_decider(protocol, members)
+            decide = _strategy_decider(protocol, probs, member_cdf)
         else:
             slots = 1 + len(protocol.settings)
-            decide = _sequential_decider(protocol, members)
+            decide = _sequential_decider(probs, member_cdf)
         rows = max(1, _CHUNK_UNIFORMS // slots)
         blocks = (
             rngmod.uniform_rows(spec.seed, start, min(start + rows, n), slots)
             for start in range(0, n, rows)
         )
     else:
+        members = _source_ensemble(protocol, spec.noise, gap.witness)
         slot_spans = [_circuit_event_slots(c) for c in protocol.circuits]
         decide = _circuit_decider(protocol, members, slot_spans)
         blocks = [rngmod.uniform_table(spec.seed, n, 1 + sum(slot_spans))]

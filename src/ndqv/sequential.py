@@ -154,6 +154,11 @@ class Protocol:
             if len(circuits) != len(settings):
                 raise ValueError("circuit count does not match setting count")
 
+    @functools.cached_property
+    def _decision_tables(self) -> dict:
+        """The matrix backend's decision tables by NoiseSpec (see harness)."""
+        return {}
+
 
 def compose_sequential(
     target: TargetState,

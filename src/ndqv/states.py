@@ -281,7 +281,10 @@ class NoiseSpec:
     kind is one of 'worst_case_orthogonal' (coherent rotation toward a fixed
     orthogonal direction), 'random_orthogonal' (seeded Haar direction in the
     orthocomplement), or 'depolarizing' (white-noise mixture). epsilon is the
-    deviation weight in [0, 1).
+    deviation weight in [0, 1); seed is None or a non-negative integer.
+
+    Frozen and hashable, so a spec can key a cache; numpy scalars are stored
+    as the Python int or float they hold.
     """
 
     kind: str
@@ -291,10 +294,23 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if not 0.0 <= self.epsilon < 1.0:
-            raise ValueError(f"epsilon must lie in [0, 1), got {self.epsilon}")
-        if self.kind == "random_orthogonal" and self.epsilon > 0 and self.seed is None:
+        eps = self.epsilon
+        if isinstance(eps, bool) or not isinstance(eps, (int, float, np.integer, np.floating)):
+            raise ValueError(f"epsilon must be a real number, got {eps!r}")
+        if not 0.0 <= eps < 1.0:
+            raise ValueError(f"epsilon must lie in [0, 1), got {eps!r}")
+        seed = self.seed
+        if seed is not None:
+            if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+                raise ValueError(f"seed must be None or an integer, got {seed!r}")
+            if seed < 0:
+                raise ValueError(f"seed must be non-negative, got {seed!r}")
+        if self.kind == "random_orthogonal" and eps > 0 and seed is None:
             raise ValueError("random_orthogonal noise needs a seed")
+        for name in ("epsilon", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, np.generic):
+                object.__setattr__(self, name, value.item())
 
 
 def first_orthogonal_complement(target: TargetState) -> np.ndarray:
@@ -344,7 +360,7 @@ def perturbed_state(
             raise ValueError("witness is not orthogonal to the target")
         direction = normalize(direction)
     else:
-        direction = random_orthogonal_direction(target, int(noise.seed))
+        direction = random_orthogonal_direction(target, noise.seed)
     out = math.sqrt(1.0 - noise.epsilon) * psi + math.sqrt(noise.epsilon) * direction
     return canonical_phase(out)
 

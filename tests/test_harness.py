@@ -7,8 +7,9 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ndqv import catalog, circuits, harness, rng
 from ndqv.states import NoiseSpec
@@ -175,6 +176,20 @@ def test_spec_fields_cannot_be_assigned(field, value):
 def test_spec_refuses_a_non_protocol(protocol):
     with pytest.raises(ValueError, match=f"got {type(protocol).__name__}"):
         harness.ExperimentSpec(protocol, _pure(), 10, 1)
+
+
+@pytest.mark.parametrize("noise", [None, "depolarizing", ("depolarizing", 0.1)])
+def test_spec_refuses_a_non_noise_spec(noise):
+    # None used to fail in the run with an AttributeError on noise.kind
+    with pytest.raises(ValueError, match=f"NoiseSpec, got {type(noise).__name__}"):
+        harness.ExperimentSpec(catalog.build_strategy("bell"), noise, 10, 1)
+
+
+def test_numpy_noise_parameters_serialize():
+    # a float32 epsilon used to reach the report and break report_to_json
+    noise = NoiseSpec("random_orthogonal", np.float32(0.25), seed=np.int64(3))
+    spec = harness.ExperimentSpec(catalog.build_sequential("bell"), noise, 50, 1)
+    assert json.loads(harness.report_to_json(harness.run_experiment(spec)))["epsilon"] == 0.25
 
 
 def test_circuit_backend_needs_sequential():
@@ -496,6 +511,105 @@ def test_chunk_holds_at_least_one_copy(monkeypatch):
                                   mode="count_frequency")
     monkeypatch.setattr(harness, "_CHUNK_UNIFORMS", 1)
     assert _counts(harness.run_experiment(spec)) == _one_shot_counts(spec)
+
+
+# ---------------------------------------------------------------------------
+# the matrix backend's decision tables, kept per (protocol, noise spec)
+# ---------------------------------------------------------------------------
+
+_TABLE_BUILDS = {
+    "strategy": lambda: catalog.build_strategy("ghz3"),
+    "sequential": lambda: catalog.build_sequential("ghz3"),
+}
+_TABLE_NOISES = [
+    NoiseSpec("depolarizing", 0.3),
+    _worst(0.3),
+    NoiseSpec("random_orthogonal", 0.3, seed=4),
+    NoiseSpec("random_orthogonal", 0.3, seed=5),
+    _pure(),
+]
+_TABLE_BUILDERS = (
+    "_source_ensemble", "_sequential_member_probs", "_strategy_member_probs", "perturbed_state"
+)
+
+
+@pytest.mark.parametrize("kind", sorted(_TABLE_BUILDS))
+def test_interleaved_noises_report_as_on_a_fresh_protocol(kind):
+    build = _TABLE_BUILDS[kind]
+    protocol = build()
+    for noise in _TABLE_NOISES * 2:
+        for mode in harness.MODES:
+            spec = harness.ExperimentSpec(protocol, noise, 300, 7, mode=mode)
+            fresh = dataclasses.replace(spec, protocol=build())
+            assert harness.report_to_json(harness.run_experiment(spec)) == harness.report_to_json(
+                harness.run_experiment(fresh)
+            )
+    assert list(protocol._decision_tables) == _TABLE_NOISES
+
+
+@pytest.mark.parametrize("kind", sorted(_TABLE_BUILDS))
+def test_a_warm_matrix_run_builds_no_table(monkeypatch, kind):
+    calls = []
+    for name in _TABLE_BUILDERS:
+        original = getattr(harness, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, counting)
+    protocol = _TABLE_BUILDS[kind]()
+    for noise in _TABLE_NOISES:
+        calls.clear()
+        harness.run_experiment(harness.ExperimentSpec(protocol, noise, 20, 1))
+        assert f"_{kind}_member_probs" in calls
+        calls.clear()
+        for seed, mode in enumerate(harness.MODES, start=2):
+            harness.run_experiment(harness.ExperimentSpec(protocol, noise, 20, seed, mode=mode))
+        assert calls == []
+
+
+def test_decision_table_is_read_only_and_holds_no_members():
+    protocol = catalog.build_sequential("ghz3")
+    harness.run_experiment(harness.ExperimentSpec(protocol, NoiseSpec("depolarizing", 0.2), 9, 1))
+    harness.run_experiment(harness.ExperimentSpec(protocol, _worst(0.2), 9, 1))
+    tables = list(protocol._decision_tables.values())
+    for (probs, member_cdf), members in zip(tables, (1 + protocol.target.dim, 1)):
+        assert probs.shape == (members, len(protocol.settings))
+        assert member_cdf.shape == (members,)
+        for array in (probs, member_cdf):
+            assert not array.flags.writeable and array.base is None
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.5
+
+
+def test_circuit_runs_fill_no_decision_table():
+    protocol = catalog.build_sequential("bell")
+    spec = harness.ExperimentSpec(protocol, NoiseSpec("depolarizing", 0.2), 9, 1, "circuit")
+    harness.run_experiment(spec)
+    assert "_decision_tables" not in vars(protocol)
+
+
+def _accumulated_counts(bits):
+    """Stage counts through logical_and.accumulate: the reference for _counts_from_bits."""
+    through = np.logical_and.accumulate(bits, axis=1)
+    reach = np.ones_like(bits)
+    reach[:, 1:] = through[:, :-1]
+    return through[:, -1], reach.sum(axis=0), (reach & bits).sum(axis=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.bool_, st.tuples(st.integers(0, 40), st.integers(1, 9))))
+@example(np.zeros((0, 3), dtype=bool))
+@example(np.zeros((0, 1), dtype=bool))
+@example(np.array([[True], [False], [True]]))
+@example(np.ones((6, 4), dtype=bool))
+@example(np.zeros((5, 4), dtype=bool))
+def test_counts_from_first_failure_equal_the_accumulated_counts(bits):
+    got = harness._counts_from_bits(bits)
+    want = _accumulated_counts(bits)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tolist() == b.tolist()
 
 
 _CIRCUIT_PROTOCOLS = {

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -125,6 +126,53 @@ def test_noise_spec_validation():
     with pytest.raises(ValueError, match="seed"):
         states.NoiseSpec(kind="random_orthogonal", epsilon=0.1)
     states.NoiseSpec(kind="random_orthogonal", epsilon=0.0)  # seedless ok at zero
+
+
+@pytest.mark.parametrize(
+    "epsilon, why",
+    [
+        # True used to run as epsilon 1 - 0; "0.2" raised a TypeError
+        (True, "real number"),
+        (np.bool_(False), "real number"),
+        ("0.2", "real number"),
+        (0.2 + 0j, "real number"),
+        (None, "real number"),
+        (float("nan"), "[0, 1)"),
+        (float("inf"), "[0, 1)"),
+        (-0.1, "[0, 1)"),
+    ],
+)
+def test_noise_spec_refuses_a_bad_epsilon(epsilon, why):
+    with pytest.raises(ValueError, match=re.escape(f"{why}, got {epsilon!r}")):
+        states.NoiseSpec("depolarizing", epsilon)
+
+
+@pytest.mark.parametrize(
+    "seed, why",
+    [
+        # 1.5 and True used to replay seed 1; -1 failed inside numpy; [1] was
+        # unhashable
+        (1.5, "an integer"),
+        (True, "an integer"),
+        (np.float64(2.0), "an integer"),
+        ([1], "an integer"),
+        ("1", "an integer"),
+        (-1, "non-negative"),
+        (np.int64(-3), "non-negative"),
+    ],
+)
+def test_noise_spec_refuses_a_bad_seed(seed, why):
+    with pytest.raises(ValueError, match=re.escape(f"{why}, got {seed!r}")):
+        states.NoiseSpec("random_orthogonal", 0.2, seed=seed)
+
+
+def test_noise_spec_stores_numpy_scalars_as_python_numbers():
+    noise = states.NoiseSpec("random_orthogonal", np.float32(0.25), seed=np.uint8(7))
+    assert type(noise.epsilon) is float and noise.epsilon == 0.25
+    assert type(noise.seed) is int and noise.seed == 7
+    # Python numbers are kept as given, int epsilon included
+    assert type(states.NoiseSpec("depolarizing", 0).epsilon) is int
+    assert hash(noise) == hash(states.NoiseSpec("random_orthogonal", 0.25, seed=7))
 
 
 def test_perturbed_state_overlap():
