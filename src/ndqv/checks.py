@@ -119,6 +119,63 @@ def _check_states() -> CheckResult:
     return _result("state_catalog", dev, TOL_STRUCTURAL)
 
 
+def _dense_stabilizer_state(spec: states.StabilizerGroupSpec) -> np.ndarray:
+    """The target by the dense route: basis states through dense (I + S)/2."""
+    dim = 2**spec.n_qubits
+    mats = [states.pauli_operator(g) for g in spec.generators]
+    for k in range(dim):
+        v = np.zeros(dim, dtype=complex)
+        v[k] = 1.0
+        for s in mats:
+            v = (v + s @ v) / 2.0
+        if np.linalg.norm(v) > 1e-8:
+            return states.canonical_phase(states.normalize(v))
+    raise ValueError("no computational basis state survives the projection")
+
+
+@_register("pauli_form")
+def _check_pauli_form() -> CheckResult:
+    # Settings and targets built from Pauli bitmasks must carry the bytes of
+    # the dense forms, and pass the dense checks their build skips: the
+    # projector check and the completeness product. Any byte difference or
+    # failed projector check counts as deviation 1.
+    bell = states.StabilizerGroupSpec(("+ZZ", "+XX"))
+    specs = [bell] + [strategies.ghz_generator_spec(n) for n in range(2, 7)]
+    specs += [
+        states.StabilizerGroupSpec(gens)
+        for gens in (("+YZ", "+ZY"), ("-YY", "+XX"), ("-ZII", "-IZI", "-IIZ"))
+    ]
+    dev = 0.0
+    n_proj = n_targets = 0
+    for spec in specs:
+        target = _dense_stabilizer_state(spec)
+        gens = strategies.stabilizer_generators(spec)
+        builds = [gens, strategies.stabilizer_full_group(spec)]
+        if spec is bell:
+            builds.append(strategies.bell_minimal())
+        for strat in builds:
+            eye = linalg.identity(strat.target.dim)
+            for s in strat.settings:
+                dense = (eye + states.pauli_operator(s.word)) / 2.0
+                same = s.projector.tobytes() == dense.tobytes()
+                if not (same and linalg.is_projector(s.projector)):
+                    dev = 1.0
+                n_proj += 1
+            if strat.target.vector.tobytes() != target.tobytes():
+                dev = 1.0
+            n_targets += 1
+        eff = seq.effective_operator(gens)
+        dev = max(dev, linalg.max_abs(eff - gens.target.projector()))
+    return _result(
+        "pauli_form",
+        dev,
+        seq.ATOL_FIX,
+        f"{n_proj} projectors and {n_targets} targets byte-identical to the dense forms"
+        if dev < 1.0
+        else "a Pauli-built setting or target differs from its dense form",
+    )
+
+
 @_register("gap_formulas")
 def _check_gaps() -> CheckResult:
     builds: list[seq.Protocol] = [

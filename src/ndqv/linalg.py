@@ -13,10 +13,8 @@ import numpy as np
 
 DEFAULT_DIM_CAP = 2**14
 
-# Default absolute tolerances: structural identities (idempotence, unitarity)
-# are checked tighter than spectral quantities.
+# Default absolute tolerance of structural identities (idempotence, unitarity).
 ATOL_STRUCTURAL = 1e-10
-ATOL_SPECTRAL = 1e-8
 
 
 def dim_cap() -> int:

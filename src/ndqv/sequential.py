@@ -11,6 +11,14 @@ test without consuming the copy, so the run concentrates into one
 effective projector on the system. Both kinds are frozen and their
 projectors read-only; a sequential run of a strategy is the same object
 with another kind, built by ``dataclasses.replace``.
+
+A setting made from a matrix is checked as a projector by dense products.
+A stabilizer test is made from its signed Pauli word instead: the word
+builds an exact projector, so only the word is validated, and a sequential
+run whose words are the n generators of a stabilizer group on n qubits is
+complete without the dense product of its projectors (check_complete).
+Documents carry matrices only, so a protocol read back from one runs both
+dense checks.
 """
 from __future__ import annotations
 
@@ -46,20 +54,40 @@ NEVER_PASSES_CUTOFF = 1e-14
 class Setting:
     """A projective pass test, with its sampling weight when in a strategy.
 
-    The projector is validated once, here, and kept as a read-only view of
-    the array passed in (no copy). The coupling to its ancilla and the two
+    A setting is made from a matrix or from a signed Pauli ``word`` S, whose
+    test is (I + S)/2. A matrix is validated here by the dense projector
+    check and kept as a read-only view of the array passed in (no copy). A
+    word builds its projector by ``states.pauli_projector``, which is exact
+    by construction (a signed Pauli word is Hermitian with S^2 = I), so only
+    the word is parsed; a matrix passed along with a word must equal that
+    projector entry for entry. The coupling to its ancilla and the two
     branch operators on system + ancilla are derived and validated on first
     access; the engine itself applies the projector to the system alone.
     """
 
     label: str
-    projector: np.ndarray
+    projector: np.ndarray | None = None
     weight: float | None = None
+    word: str | None = None
 
     def __post_init__(self) -> None:
-        omega = linalg.as_matrix(self.projector).view()
-        if not linalg.is_projector(omega):
-            raise ValueError(f"setting {self.label!r} is not a projector")
+        if self.word is not None:
+            built = states.pauli_projector(self.word)
+            if self.projector is None:
+                omega = built
+            else:
+                omega = linalg.as_matrix(self.projector).view()
+                if not np.array_equal(omega, built):
+                    raise ValueError(
+                        f"setting {self.label!r} projector is not that of its "
+                        f"word {self.word!r}"
+                    )
+        elif self.projector is None:
+            raise ValueError(f"setting {self.label!r} needs a projector or a word")
+        else:
+            omega = linalg.as_matrix(self.projector).view()
+            if not linalg.is_projector(omega):
+                raise ValueError(f"setting {self.label!r} is not a projector")
         omega.flags.writeable = False
         object.__setattr__(self, "projector", omega)
 
@@ -94,14 +122,23 @@ class Setting:
 
 
 def build_qnd_setting(
-    projector: np.ndarray, label: str = "", weight: float | None = None
+    projector: np.ndarray | None,
+    label: str = "",
+    weight: float | None = None,
+    word: str | None = None,
 ) -> Setting:
     """Couple a projective test to one ancilla.
 
     The coupling flips the ancilla exactly on the reject subspace, so the
     ancilla reading 0 is the pass branch and the system is untouched on it.
+    A signed Pauli ``word`` may stand in for the projector (see Setting).
     """
-    return Setting(label=label, projector=projector, weight=weight)
+    return Setting(label=label, projector=projector, weight=weight, word=word)
+
+
+def pauli_setting(word: str, weight: float | None = None) -> Setting:
+    """The pass test (I + S)/2 of a signed Pauli word, labelled by the word."""
+    return build_qnd_setting(None, word, weight, word=word)
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,12 +226,36 @@ def check_complete(protocol: Protocol) -> None:
     """Refuse a run whose joint pass space is larger than the target.
 
     An incomplete set would certify that larger subspace, not the target.
+    When the settings' words generate a full stabilizer group the answer
+    needs no product (see _generates_target); otherwise the dense effective
+    operator is compared with the target projector.
     """
+    if _generates_target(protocol):
+        return
     eff = effective_operator(protocol)
     if linalg.max_abs(eff - protocol.target.projector()) > ATOL_FIX:
         raise ValueError(
             "incomplete verification set: joint pass space exceeds the target"
         )
+
+
+def _generates_target(protocol: Protocol) -> bool:
+    """True when every setting is a word and the words generate the target.
+
+    n independent, pairwise commuting signed Pauli words on n qubits (the
+    rank and commutation tests of StabilizerGroupSpec) have a one-dimensional
+    joint +1 eigenspace. Protocol has checked that every setting fixes the
+    target, so that space is the target and the product of the tests is
+    exactly its projector.
+    """
+    words = tuple(s.word for s in protocol.settings)
+    if None in words:
+        return False
+    try:
+        spec = states.StabilizerGroupSpec(words)
+    except ValueError:
+        return False
+    return spec.n_qubits == protocol.target.n_qubits
 
 
 def effective_operator(protocol: Protocol) -> np.ndarray:

@@ -3,6 +3,14 @@
 States are numpy vectors in big-endian qubit order. Every constructor returns
 amplitudes in canonical global phase: the first amplitude with modulus above
 1e-12 is made real and positive.
+
+Stabilizer tests and states are built from the x/z bitmask form of a signed
+Pauli word (Aaronson and Gottesman, PRA 70, 052328, 2004): a word S maps
+|b> to phase * (-1)^popcount(b & z) |b xor x>, so its projector (I + S)/2
+is written at O(d) entries and applied to a vector by an index XOR and a
+sign vector, never by a tensor-product chain or a dense product. The
+results are byte-identical to the dense forms ``(I + pauli_operator(w))/2``
+and the projection of basis states through those matrices.
 """
 from __future__ import annotations
 
@@ -24,6 +32,9 @@ _PHASE_ATOL = 1e-12
 _SEED_NORM_CUTOFF = 1e-8
 
 NOISE_KINDS = ("worst_case_orthogonal", "random_orthogonal", "depolarizing")
+
+# GHZ targets and generator sets exist for these register sizes.
+GHZ_QUBITS = range(2, 11)
 
 
 def canonical_phase(vec: np.ndarray) -> np.ndarray:
@@ -89,10 +100,17 @@ def two_qubit_pure(theta: float) -> TargetState:
     return TargetState(label="two_qubit", n_qubits=2, vector=v)
 
 
+def check_ghz_size(n: int) -> None:
+    """Refuse a GHZ register size outside GHZ_QUBITS."""
+    if n not in GHZ_QUBITS:
+        raise ValueError(
+            f"ghz supports {GHZ_QUBITS.start}..{GHZ_QUBITS.stop - 1} qubits, got {n}"
+        )
+
+
 def ghz(n: int) -> TargetState:
-    """n-qubit GHZ state (|0...0> + |1...1>)/sqrt(2) for 2 <= n <= 10."""
-    if not 2 <= n <= 10:
-        raise ValueError(f"ghz supports 2..10 qubits, got {n}")
+    """n-qubit GHZ state (|0...0> + |1...1>)/sqrt(2) for n in GHZ_QUBITS."""
+    check_ghz_size(n)
     v = np.zeros(2**n, dtype=complex)
     v[0] = v[-1] = 1.0 / math.sqrt(2.0)
     return TargetState(label=f"ghz{n}", n_qubits=n, vector=v)
@@ -126,6 +144,66 @@ def pauli_operator(text: str) -> np.ndarray:
     """Dense matrix for a signed Pauli word."""
     sign, body = parse_pauli_string(text)
     out = sign * linalg.kron_all(*(PAULI_1Q[c] for c in body))
+    return out
+
+
+def pauli_bits(text: str) -> tuple[int, int, int, int]:
+    """Bitmask form (n, x, z, k) of a signed Pauli word.
+
+    The word is i^k X^x Z^z: letter j sets bit n-1-j of x when it is X or Y
+    and of z when it is Z or Y (big-endian, like the matrices), and each Y
+    adds one to k since Y = iXZ. So S|b> = i^k (-1)^popcount(b & z) |b ^ x>.
+    """
+    sign, body = parse_pauli_string(text)
+    n = len(body)
+    x = z = 0
+    for ch in body:
+        x = (x << 1) | (ch in "XY")
+        z = (z << 1) | (ch in "ZY")
+    k = (body.count("Y") + (2 if sign < 0 else 0)) % 4
+    return n, x, z, k
+
+
+def _pauli_action(text: str) -> tuple[int, np.ndarray, bool]:
+    """(x, signs, imaginary) with S|b> = (i if imaginary else 1) signs[b] |b ^ x>.
+
+    signs holds the +-1.0 of (-1)^popcount(b & z) times the real unit of
+    i^k, for every basis index b.
+    """
+    n, x, z, k = pauli_bits(text)
+    d = 2**n
+    if d > linalg.dim_cap():
+        raise ValueError(
+            f"Pauli word dimension {d} exceeds cap {linalg.dim_cap()} "
+            "(set NDQV_DIM_CAP to raise it)"
+        )
+    b = np.arange(d)
+    parity = np.zeros(d, dtype=np.int64)
+    for j in range(n):
+        if z >> j & 1:
+            parity ^= b >> j & 1
+    signs = 1.0 - 2.0 * parity
+    return x, (-signs if k >= 2 else signs), k % 2 == 1
+
+
+def pauli_projector(text: str) -> np.ndarray:
+    """Pass projector (I + S)/2 of a signed Pauli word, written entry by entry.
+
+    Column b holds 1/2 at row b and i^k (-1)^popcount(b & z) / 2 at row
+    b ^ x, so the d x d array costs O(d) writes past its zeroing. Real and
+    imaginary parts are written separately, so no entry is a negative zero
+    and the bytes equal ``(identity + pauli_operator(text)) / 2``.
+    """
+    x, signs, imaginary = _pauli_action(text)
+    d = signs.shape[0]
+    b = np.arange(d)
+    out = np.zeros((d, d), dtype=complex)
+    if x == 0:  # diagonal: (1 + S_bb)/2 is 1 or 0
+        out.real[b, b] = (1.0 + signs) / 2.0
+        return out
+    out.real[b, b] = 0.5
+    part = out.imag if imaginary else out.real
+    part[b ^ x, b] = signs / 2.0
     return out
 
 
@@ -247,26 +325,32 @@ class StabilizerGroupSpec:
 
 
 def stabilizer_projectors(spec: StabilizerGroupSpec) -> list[np.ndarray]:
-    """Pass projectors (I + S)/2 for each generator."""
-    dim = 2**spec.n_qubits
-    eye = linalg.identity(dim)
-    return [(eye + pauli_operator(g)) / 2.0 for g in spec.generators]
+    """Pass projectors (I + S)/2 for each generator (see pauli_projector)."""
+    return [pauli_projector(g) for g in spec.generators]
 
 
 def stabilizer_state(spec: StabilizerGroupSpec) -> TargetState:
     """Unique joint +1 eigenstate of a full set of stabilizer generators.
 
     The state is obtained by projecting computational basis states in index
-    order and keeping the first survivor with norm above 1e-8.
+    order through each (I + S)/2 and keeping the first survivor with norm
+    above 1e-8. Each S acts by an index XOR and a sign vector: O(d) per
+    generator, with no d x d matrix.
     """
     n = spec.n_qubits
     dim = 2**n
-    mats = [pauli_operator(g) for g in spec.generators]
+    actions = []
+    for g in spec.generators:
+        x, signs, imaginary = _pauli_action(g)
+        src = np.arange(dim) ^ x  # (S v)[b] = phase[b ^ x] v[b ^ x]
+        actions.append((src, signs[src] * 1j if imaginary else signs[src]))
     for k in range(dim):
         v = np.zeros(dim, dtype=complex)
         v[k] = 1.0
-        for s in mats:
-            v = (v + s @ v) / 2.0
+        for src, coef in actions:
+            v = (v + coef * v[src]) / 2.0
+            if not v.any():  # a projected-out basis state stays zero
+                break
         if np.linalg.norm(v) > _SEED_NORM_CUTOFF:
             vec = canonical_phase(normalize(v))
             label = "stab(" + ",".join(spec.generators) + ")"

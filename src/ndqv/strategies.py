@@ -55,18 +55,14 @@ def sample_complexity(nu: float, epsilon: float, delta: float) -> tuple[int, int
 
 def _pz_pair() -> np.ndarray:
     """Projector onto span{|00>, |11>}, the even-parity Z subspace."""
-    return (linalg.identity(4) + states.pauli_operator("+ZZ")) / 2.0
+    return states.pauli_projector("+ZZ")
 
 
 def bell_minimal() -> Protocol:
     """Two-setting Bell verification: even parity in Z and in X, weight 1/2 each."""
     target = states.bell_state()
     half = float(Fraction(1, 2))
-    eye = linalg.identity(4)
-    settings = [
-        seq.build_qnd_setting(_pz_pair(), "+ZZ", half),
-        seq.build_qnd_setting((eye + states.pauli_operator("+XX")) / 2.0, "+XX", half),
-    ]
+    settings = [seq.pauli_setting("+ZZ", half), seq.pauli_setting("+XX", half)]
     return Protocol(
         kind="strategy",
         label="bell_minimal",
@@ -217,10 +213,7 @@ def stabilizer_generators(spec: StabilizerGroupSpec) -> Protocol:
     target = states.stabilizer_state(spec)
     n = len(spec.generators)
     w = float(Fraction(1, n))
-    settings = [
-        seq.build_qnd_setting(p, g, w)
-        for g, p in zip(spec.generators, states.stabilizer_projectors(spec))
-    ]
+    settings = [seq.pauli_setting(g, w) for g in spec.generators]
     return Protocol(
         kind="strategy",
         label="stabilizer_generators",
@@ -244,11 +237,7 @@ def stabilizer_full_group(spec: StabilizerGroupSpec) -> Protocol:
     target = states.stabilizer_state(spec)
     members = spec.elements()[1:]  # identity dropped
     w = float(Fraction(1, len(members)))
-    eye = linalg.identity(target.dim)
-    settings = [
-        seq.build_qnd_setting((eye + states.pauli_operator(word)) / 2.0, word, w)
-        for word in members
-    ]
+    settings = [seq.pauli_setting(word, w) for word in members]
     return Protocol(
         kind="strategy",
         label="stabilizer_group",
@@ -260,8 +249,7 @@ def stabilizer_full_group(spec: StabilizerGroupSpec) -> Protocol:
 
 def ghz_generator_spec(n: int) -> StabilizerGroupSpec:
     """Standard GHZ generators: the all-X word plus Z-parity pairs."""
-    if not 2 <= n <= 10:
-        raise ValueError(f"ghz supports 2..10 qubits, got {n}")
+    states.check_ghz_size(n)
     gens = ["+" + "X" * n]
     for k in range(1, n):
         body = ["I"] * n

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from ndqv import catalog, linalg, sequential as seq, strategies
+from ndqv import catalog, linalg, sequential as seq, states, strategies
 
 
 def test_strategy_names_lists_every_family():
@@ -47,6 +49,19 @@ def test_ghz_selectors_parse_size():
     assert gens.target.dim == 16
     group = catalog.build_strategy("ghz3_group")
     assert len(group.settings) == 7
+
+
+@pytest.mark.parametrize("n", [1, 11])
+def test_ghz_sizes_outside_the_range_are_refused_alike_everywhere(n):
+    message = re.escape(f"ghz supports 2..10 qubits, got {n}")
+    assert n not in states.GHZ_QUBITS
+    for build in (
+        states.ghz,
+        lambda n: catalog.build_strategy(f"ghz{n}"),
+        lambda n: catalog.build_sequential(f"ghz{n}"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            build(n)
 
 
 def test_unknown_selector():

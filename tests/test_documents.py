@@ -42,7 +42,7 @@ SEQUENTIAL_DIGESTS = {
 
 CLI_DIGESTS = {
     ("compile", "ghz3"): "ffbe0c8a2405908ebd48301b04ee38677166b2870018e15beb6d8afa0e47dae3",
-    ("check", "--format", "text"): "586533845ba7652b764193a0f061a23fe333b5aba364c669169201b5d15e72b4",
+    ("check", "--format", "text"): "6d1e34e78bc77d6a019f1a252725f1b5ee8776d7425820447d9e95af730300dd",
 }
 
 

@@ -45,9 +45,12 @@ def test_qnd_setting_structure():
     assert linalg.max_abs(out - np.kron(psi, e0)) < 1e-12
 
 
+SETTING_FIELDS = {"label", "projector", "weight", "word"}
+
+
 def test_lifted_matrices_are_built_on_first_access_only():
     setting = seq.build_qnd_setting(bell_projectors()[0])
-    assert set(vars(setting)) == {"label", "projector", "weight"}
+    assert set(vars(setting)) == SETTING_FIELDS
     assert setting.m_pass is setting.m_pass
     assert "_lifted" in vars(setting)
 
@@ -61,7 +64,7 @@ def test_runs_never_build_lifted_matrices():
     seq.fidelity_transform(protocol, sigma)
     seq.stage_pass_probabilities(protocol, sigma)
     for setting in protocol.settings:
-        assert set(vars(setting)) == {"label", "projector", "weight"}
+        assert set(vars(setting)) == SETTING_FIELDS
 
 
 def _lifted_member_probs(protocol, members):
@@ -412,17 +415,78 @@ def test_sequential_run_reuses_the_strategy_settings(monkeypatch):
     assert (strat.kind, strat.label) == ("strategy", "adaptive_two")
 
 
-def test_a_sequential_build_checks_each_projector_once(monkeypatch):
+def _counting(monkeypatch, module, name):
     calls = []
-    is_projector = linalg.is_projector
+    original = getattr(module, name)
 
     def counting(*args, **kwargs):
-        calls.append(1)
-        return is_projector(*args, **kwargs)
+        calls.append(args[0] if args else None)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(linalg, "is_projector", counting)
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_a_sequential_build_checks_each_projector_once(monkeypatch):
+    # Word settings build their projector from the word, exact by
+    # construction: no dense check. Matrix settings keep the dense check.
+    dense = _counting(monkeypatch, linalg, "is_projector")
+    words = _counting(monkeypatch, states, "pauli_projector")
     protocol = catalog.build_sequential("ghz4")
-    assert len(calls) == len(protocol.settings) == 4
+    assert dense == []
+    assert words == [s.word for s in protocol.settings] == list(
+        strategies.ghz_generator_spec(4).generators
+    )
+    dense.clear()
+    protocol = catalog.build_sequential("two_qubit_three", 0.55)
+    assert len(dense) == len(protocol.settings) == 3
+
+
+def test_a_ghz10_sequential_build_runs_no_dense_check(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense check on the build path")
+
+    monkeypatch.setattr(linalg, "is_projector", refuse)
+    monkeypatch.setattr(seq, "effective_operator", refuse)
+    protocol = catalog.build_sequential("ghz10")
+    assert len(protocol.settings) == 10
+    assert protocol.target.vector.tobytes() == states.ghz(10).vector.tobytes()
+
+
+def test_a_protocol_from_a_document_runs_both_dense_checks(monkeypatch):
+    doc = seq.protocol_to_dict(catalog.build_sequential("ghz4"))
+    dense = _counting(monkeypatch, linalg, "is_projector")
+    products = _counting(monkeypatch, seq, "effective_operator")
+    back = seq.protocol_from_dict(doc)
+    assert len(dense) == 4
+    assert len(products) == 1
+    assert all(s.word is None for s in back.settings)
+
+
+def test_a_word_setting_refuses_a_different_matrix():
+    word = "+XZ"
+    kept = seq.Setting(word, states.pauli_projector(word), word=word)
+    assert kept.projector.tobytes() == seq.pauli_setting(word).projector.tobytes()
+    with pytest.raises(ValueError, match="not that of its word"):
+        seq.Setting(word, states.pauli_projector("+ZX"), word=word)
+    with pytest.raises(ValueError, match="projector or a word"):
+        seq.Setting("empty")
+    with pytest.raises(ValueError, match="position 2"):
+        seq.pauli_setting("+XQ")
+
+
+def test_word_settings_that_are_not_generators_take_the_dense_product(monkeypatch):
+    products = _counting(monkeypatch, seq, "effective_operator")
+    target = states.bell_state()
+    # Three group elements: complete, but not n independent generators.
+    group = [seq.pauli_setting(w) for w in ("+ZZ", "+XX", "-YY")]
+    seq.check_complete(seq.Protocol("group", target, group, "sequential"))
+    assert len(products) == 1
+    with pytest.raises(ValueError, match="incomplete"):
+        seq.check_complete(
+            seq.Protocol("parity", target, [seq.pauli_setting("+ZZ")], "sequential")
+        )
+    assert len(products) == 2
 
 
 def test_gap_reads_the_operator_from_the_kind():

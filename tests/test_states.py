@@ -6,12 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ndqv import linalg, states
+from ndqv import catalog, linalg, states, strategies
 
 pauli_words = st.tuples(
     st.sampled_from("+-"),
     st.text(alphabet="IXYZ", min_size=1, max_size=4),
 ).map(lambda t: t[0] + t[1])
+
+long_pauli_words = st.tuples(
+    st.sampled_from(["+", "-", ""]),
+    st.text(alphabet="IXYZ", min_size=1, max_size=6),
+).map(lambda t: t[0] + t[1])
+
+Y_SPEC = ("+YZ", "+ZY")
+MINUS_SPEC = ("-ZII", "-IZI", "-IIZ")
+SIGNED_Y_SPEC = ("-YY", "+XX")
 
 
 def test_canonical_phase():
@@ -53,7 +62,8 @@ def test_two_qubit_pure_domain():
 
 def test_ghz_domain():
     for bad in (1, 11):
-        with pytest.raises(ValueError):
+        message = re.escape(f"ghz supports 2..10 qubits, got {bad}")
+        with pytest.raises(ValueError, match=message):
             states.ghz(bad)
     g = states.ghz(4)
     assert abs(g.vector[0] - 1 / math.sqrt(2)) < 1e-15
@@ -116,6 +126,95 @@ def test_stabilizer_state_eigenrelations():
     for word in spec.generators:
         op = states.pauli_operator(word)
         assert linalg.max_abs(op @ target.vector - target.vector) < 1e-12
+
+
+def dense_projector(word):
+    n = len(states.parse_pauli_string(word)[1])
+    return (linalg.identity(2**n) + states.pauli_operator(word)) / 2.0
+
+
+def dense_stabilizer_state(spec):
+    """Basis states projected through dense (I + S)/2, first survivor kept."""
+    dim = 2**spec.n_qubits
+    mats = [states.pauli_operator(g) for g in spec.generators]
+    for k in range(dim):
+        v = np.zeros(dim, dtype=complex)
+        v[k] = 1.0
+        for s in mats:
+            v = (v + s @ v) / 2.0
+        if np.linalg.norm(v) > 1e-8:
+            return states.canonical_phase(states.normalize(v))
+    raise AssertionError("no survivor")
+
+
+def test_pauli_bits_are_big_endian_with_one_phase_step_per_y():
+    assert states.pauli_bits("+XIZ") == (3, 0b100, 0b001, 0)
+    assert states.pauli_bits("-IYZ") == (3, 0b010, 0b011, 3)
+    assert states.pauli_bits("YY") == (2, 0b11, 0b11, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(long_pauli_words)
+def test_pauli_projector_has_the_bytes_of_the_dense_form(word):
+    assert states.pauli_projector(word).tobytes() == dense_projector(word).tobytes()
+
+
+# Dense references stop at ghz8; ghz9 and ghz10 are compared with closed forms.
+@pytest.mark.parametrize("n", range(2, 9))
+def test_ghz_generators_and_state_have_the_dense_bytes(n):
+    spec = strategies.ghz_generator_spec(n)
+    for word, proj in zip(spec.generators, states.stabilizer_projectors(spec)):
+        assert proj.tobytes() == dense_projector(word).tobytes()
+    target = states.stabilizer_state(spec).vector
+    assert target.tobytes() == dense_stabilizer_state(spec).tobytes()
+    assert target.tobytes() == states.ghz(n).vector.tobytes()
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_large_ghz_generators_and_state_have_their_closed_form_bytes(n):
+    d = 2**n
+    spec = strategies.ghz_generator_spec(n)
+    all_x, *z_pairs = states.stabilizer_projectors(spec)
+    # (I + X...X)/2: 1/2 on the diagonal and on the anti-diagonal b -> d-1-b
+    closed = (np.eye(d) + np.eye(d)[::-1]) / 2.0
+    assert all_x.tobytes() == closed.astype(complex).tobytes()
+    bits = (np.arange(d)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    for k, proj in enumerate(z_pairs, start=1):
+        even = (bits[:, 0] == bits[:, k]).astype(float)
+        assert proj.tobytes() == np.diag(even).astype(complex).tobytes()
+    target = states.stabilizer_state(spec).vector
+    assert target.tobytes() == states.ghz(n).vector.tobytes()
+
+
+@pytest.mark.parametrize(
+    "gens", [("+ZZ", "+XX"), ("+XXX", "+ZIZ", "+ZZI"), Y_SPEC, MINUS_SPEC, SIGNED_Y_SPEC]
+)
+def test_stabilizer_specs_have_the_dense_bytes(gens):
+    spec = states.StabilizerGroupSpec(gens)
+    for word, proj in zip(gens, states.stabilizer_projectors(spec)):
+        assert proj.tobytes() == dense_projector(word).tobytes()
+    target = states.stabilizer_state(spec)
+    assert target.vector.tobytes() == dense_stabilizer_state(spec).tobytes()
+    for word in gens:
+        op = states.pauli_operator(word)
+        assert linalg.max_abs(op @ target.vector - target.vector) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_full_group_settings_have_the_dense_bytes(n):
+    strat = catalog.build_strategy(f"ghz{n}_group")
+    for setting in strat.settings:
+        assert setting.word == setting.label
+        assert setting.projector.tobytes() == dense_projector(setting.word).tobytes()
+    spec = strategies.ghz_generator_spec(n)
+    assert strat.target.vector.tobytes() == dense_stabilizer_state(spec).tobytes()
+
+
+def test_pauli_projector_respects_the_dimension_cap(monkeypatch):
+    monkeypatch.setenv("NDQV_DIM_CAP", "8")
+    states.pauli_projector("+XYZ")
+    with pytest.raises(ValueError, match="exceeds cap 8"):
+        states.pauli_projector("+XYZI")
 
 
 def test_noise_spec_validation():
