@@ -28,6 +28,11 @@ _FIXED_STRATEGIES = {
 
 _GHZ_PATTERN = re.compile(r"^ghz(\d+)(_group)?$")
 
+# Stage orders that differ from ghz_generator_spec(n). ghz3 runs its outer
+# Z pair first; its sequential document and report digests are pinned in
+# this order.
+_GHZ_STAGE_WORDS = {3: ("+XXX", "+ZIZ", "+ZZI")}
+
 
 def strategy_names() -> list[str]:
     """Canonical selector spellings, GHZ families abbreviated."""
@@ -98,10 +103,7 @@ def sequential_two_qubit(theta: float, variant: str = "toffoli") -> Protocol:
 
 
 def sequential_ghz3() -> Protocol:
-    spec = states.StabilizerGroupSpec(("+XXX", "+ZIZ", "+ZZI"))
-    return _from_strategy(
-        strategies.stabilizer_generators(spec), "ghz3_sequential", circ.compile_ghz3()
-    )
+    return sequential_ghz(3)
 
 
 def sequential_adaptive(theta: float) -> Protocol:
@@ -114,17 +116,24 @@ def sequential_adaptive(theta: float) -> Protocol:
 
 
 def sequential_ghz(n: int) -> Protocol:
-    """Generator checks in sequence; compiled circuits exist only for n = 3."""
-    if n == 3:
-        return sequential_ghz3()
-    spec = strategies.ghz_generator_spec(n)
-    return _from_strategy(strategies.stabilizer_generators(spec), f"ghz{n}_sequential")
+    """Generator checks in sequence, each with its parity circuit ``ghz{n}_<body>``.
+
+    The stages follow ghz_generator_spec(n) unless _GHZ_STAGE_WORDS pins them.
+    """
+    words = _GHZ_STAGE_WORDS.get(n)
+    spec = strategies.ghz_generator_spec(n) if words is None else states.StabilizerGroupSpec(words)
+    labels = [f"ghz{n}_{w[1:].lower()}" for w in spec.generators]
+    return _from_strategy(
+        strategies.stabilizer_generators(spec),
+        f"ghz{n}_sequential",
+        circ.compile_stabilizer(spec.generators, labels),
+    )
 
 
 def build_sequential(
     name: str, theta: float | None = None, variant: str = "toffoli"
 ) -> Protocol:
-    """Resolve a selector to its sequential protocol (circuits attached when compiled)."""
+    """Resolve a selector to its sequential protocol, compiled circuits attached."""
     if name == "bell":
         if theta is not None:
             raise ValueError("bell does not take theta")

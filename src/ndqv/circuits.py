@@ -1,6 +1,10 @@
 """Gate-level circuits realizing the nondemolition pass tests.
 
 Circuits act on a register of system qubits followed by ancillas, big-endian.
+Gates and circuits are frozen: a circuit holds a tuple of gates and a
+read-only branch table, and a U1Q gate a read-only copy of its matrix.
+Stabilizer words compile to one-ancilla parity checks (compile_stabilizer);
+the two-qubit and adaptive checks are built from local rotations.
 Ancillas always start in |0> and are read in the computational basis. A
 circuit's verdict comes from its pass rule:
 
@@ -20,6 +24,7 @@ bits do not enter the pass verdict.
 from __future__ import annotations
 
 import math
+import types
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +55,12 @@ class Gate:
     kind: str
     qubits: tuple[int, ...]
     matrix: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.matrix is not None:
+            mat = np.array(self.matrix, dtype=complex)
+            mat.flags.writeable = False
+            object.__setattr__(self, "matrix", mat)
 
 
 def _check_gate(g: Gate, n_qubits: int, n_system: int) -> None:
@@ -82,18 +93,22 @@ def _check_gate(g: Gate, n_qubits: int, n_system: int) -> None:
         raise ValueError(f"unknown gate kind {g.kind!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Circuit:
-    """Gate list over a fixed register, with optional outcome branching."""
+    """Gate tuple over a fixed register, with optional outcome branching."""
 
     n_qubits: int
     n_system: int
-    gates: list[Gate]
-    branches: dict[int, "Circuit"] | None = None
+    gates: tuple[Gate, ...]
+    branches: types.MappingProxyType | None = None
     pass_rule: str = "all_zero"
     label: str = ""
 
     def __post_init__(self):
+        object.__setattr__(self, "gates", tuple(self.gates))
+        if self.branches is not None:
+            table = types.MappingProxyType(dict(self.branches))
+            object.__setattr__(self, "branches", table)
         if not 0 < self.n_system <= self.n_qubits:
             raise ValueError("need at least one system qubit inside the register")
         if self.pass_rule not in PASS_RULES:
@@ -126,15 +141,6 @@ class Circuit:
 
     def has_measurements(self) -> bool:
         return bool(self.measured_qubits()) or self.branches is not None
-
-    def without_measurements(self) -> "Circuit":
-        """Copy containing only the unitary gates, branches dropped."""
-        return Circuit(
-            n_qubits=self.n_qubits,
-            n_system=self.n_system,
-            gates=[g for g in self.gates if g.kind != "MZ"],
-            label=self.label,
-        )
 
 
 @dataclass
@@ -208,6 +214,17 @@ def _apply_controlled_x(tensor: np.ndarray, controls: tuple[int, ...], target: i
     return out
 
 
+def _gate_1q_matrix(g: Gate) -> np.ndarray:
+    return g.matrix if g.kind == "U1Q" else GATES_1Q[g.kind]
+
+
+def _apply_gate(tensor: np.ndarray, g: Gate) -> np.ndarray:
+    """Apply one unitary gate to the register tensor."""
+    if g.kind in ("CNOT", "CCX"):
+        return _apply_controlled_x(tensor, g.qubits[:-1], g.qubits[-1])
+    return _apply_1q(tensor, _gate_1q_matrix(g), g.qubits[0])
+
+
 def _prob_zero(tensor: np.ndarray, q: int) -> float:
     idx = [slice(None)] * tensor.ndim
     idx[q] = 0
@@ -244,11 +261,8 @@ def _run_gates(
             if circuit.branches is not None and i == last:
                 return _run_gates(circuit.branches[bit], tensor, source, record)
             record.pass_bits.append(bit)
-        elif g.kind in ("CNOT", "CCX"):
-            tensor = _apply_controlled_x(tensor, g.qubits[:-1], g.qubits[-1])
         else:
-            mat = g.matrix if g.kind == "U1Q" else GATES_1Q[g.kind]
-            tensor = _apply_1q(tensor, mat, g.qubits[0])
+            tensor = _apply_gate(tensor, g)
     return tensor
 
 
@@ -261,13 +275,8 @@ def _run_reject_rule(
     original = tensor.copy()
     measured = circuit.measured_qubits()
     for g in circuit.gates:
-        if g.kind == "MZ":
-            continue
-        if g.kind in ("CNOT", "CCX"):
-            tensor = _apply_controlled_x(tensor, g.qubits[:-1], g.qubits[-1])
-        else:
-            mat = g.matrix if g.kind == "U1Q" else GATES_1Q[g.kind]
-            tensor = _apply_1q(tensor, mat, g.qubits[0])
+        if g.kind != "MZ":
+            tensor = _apply_gate(tensor, g)
     fired = tensor
     for q in measured:
         idx = [slice(None)] * fired.ndim
@@ -350,8 +359,7 @@ def gate_matrix(g: Gate, n_qubits: int) -> np.ndarray:
         placements = {c: _P1 for c in controls}
         placements[target] = GATES_1Q["X"] - np.eye(2, dtype=complex)
         return linalg.identity(2**n_qubits) + _embedded(n_qubits, placements)
-    mat = g.matrix if g.kind == "U1Q" else GATES_1Q[g.kind]
-    return _embedded(n_qubits, {g.qubits[0]: mat})
+    return _embedded(n_qubits, {g.qubits[0]: _gate_1q_matrix(g)})
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
@@ -410,33 +418,34 @@ def pass_kraus(circuit: Circuit) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def compile_stabilizer(words, labels) -> list[Circuit]:
+    """One-ancilla parity check of each signed Pauli word, labelled in order.
+
+    For a ``+`` word over I/X/Z: H on each X qubit, CNOTs from the support
+    into one fresh ancilla (highest qubit first), the H gates undone, then
+    MZ on the ancilla. The ancilla reads the word's eigenvalue, 0 for +1, so
+    the pass branch is (I + S)/2 with the system left in place. A Y letter
+    or a minus sign is refused; no catalog word carries either.
+    """
+    words, labels = list(words), list(labels)
+    if len(words) != len(labels):
+        raise ValueError(f"{len(labels)} labels for {len(words)} words")
+    out = []
+    for word, label in zip(words, labels):
+        body = word[1:]
+        if not word.startswith("+") or not body or set(body) - set("IXZ"):
+            raise ValueError(f"compile_stabilizer takes +I/X/Z words, got {word!r}")
+        n = len(body)
+        wash = [Gate("H", (q,)) for q, p in enumerate(body) if p == "X"]
+        parity = [Gate("CNOT", (q, n)) for q in reversed(range(n)) if body[q] != "I"]
+        gates = wash + parity + wash + [Gate("MZ", (n,))]
+        out.append(Circuit(n_qubits=n + 1, n_system=n, gates=gates, label=label))
+    return out
+
+
 def compile_bell() -> list[Circuit]:
     """Parity-check circuits for the Bell pair: Z basis, then X basis."""
-    c1 = Circuit(
-        n_qubits=3,
-        n_system=2,
-        gates=[
-            Gate("CNOT", (1, 2)),
-            Gate("CNOT", (0, 2)),
-            Gate("MZ", (2,)),
-        ],
-        label="bell_parity_z",
-    )
-    c2 = Circuit(
-        n_qubits=3,
-        n_system=2,
-        gates=[
-            Gate("H", (0,)),
-            Gate("H", (1,)),
-            Gate("CNOT", (1, 2)),
-            Gate("CNOT", (0, 2)),
-            Gate("H", (0,)),
-            Gate("H", (1,)),
-            Gate("MZ", (2,)),
-        ],
-        label="bell_parity_x",
-    )
-    return [c1, c2]
+    return compile_stabilizer(("+ZZ", "+XX"), ("bell_parity_z", "bell_parity_x"))
 
 
 def _rotation_factors(theta: float, which: int) -> tuple[list[str], np.ndarray]:
@@ -506,34 +515,6 @@ def compile_two_qubit(theta: float, variant: str = "toffoli") -> list[Circuit]:
                 )
             )
     return out
-
-
-def compile_ghz3() -> list[Circuit]:
-    """Generator checks for the three-qubit GHZ state."""
-    mx = Circuit(
-        n_qubits=4,
-        n_system=3,
-        gates=[
-            Gate("H", (0,)), Gate("H", (1,)), Gate("H", (2,)),
-            Gate("CNOT", (2, 3)), Gate("CNOT", (1, 3)), Gate("CNOT", (0, 3)),
-            Gate("H", (0,)), Gate("H", (1,)), Gate("H", (2,)),
-            Gate("MZ", (3,)),
-        ],
-        label="ghz3_xxx",
-    )
-    mzz_outer = Circuit(
-        n_qubits=4,
-        n_system=3,
-        gates=[Gate("CNOT", (2, 3)), Gate("CNOT", (0, 3)), Gate("MZ", (3,))],
-        label="ghz3_ziz",
-    )
-    mzz_inner = Circuit(
-        n_qubits=4,
-        n_system=3,
-        gates=[Gate("CNOT", (1, 3)), Gate("CNOT", (0, 3)), Gate("MZ", (3,))],
-        label="ghz3_zzi",
-    )
-    return [mx, mzz_outer, mzz_inner]
 
 
 def adaptive_rotations(theta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -680,6 +661,7 @@ def serialize_circuit(circuit: Circuit) -> str:
 
 
 def _parse_gate(tokens: list[str], lineno: int) -> Gate:
+    """Tokens to a Gate; parse_circuit checks it against the register."""
     kind = tokens[0]
     if kind == "U1Q":
         if len(tokens) != 10:
@@ -696,20 +678,10 @@ def _parse_gate(tokens: list[str], lineno: int) -> Gate:
             ]
         )
         return Gate("U1Q", (q,), matrix=mat)
-    if kind not in set(GATES_1Q) | {"CNOT", "CCX", "MZ"}:
-        raise ValueError(f"line {lineno}: unknown gate {kind!r}")
     try:
         qubits = tuple(int(t) for t in tokens[1:])
     except ValueError:
         raise ValueError(f"line {lineno}: qubit indices must be integers") from None
-    if kind in GATES_1Q or kind == "MZ":
-        if len(qubits) != 1:
-            raise ValueError(f"line {lineno}: {kind} takes exactly one qubit")
-    elif kind == "CNOT":
-        if len(qubits) != 2:
-            raise ValueError(f"line {lineno}: CNOT takes control and target")
-    elif len(qubits) < 3:
-        raise ValueError(f"line {lineno}: CCX needs at least two controls and a target")
     return Gate(kind, qubits)
 
 
@@ -767,7 +739,12 @@ def parse_circuit(text: str) -> Circuit:
             else:
                 if branch_refs:
                     raise ValueError(f"line {lineno}: gates after BRANCH lines")
-                gates.append(_parse_gate(tokens, lineno))
+                gate = _parse_gate(tokens, lineno)
+                try:
+                    _check_gate(gate, n_qubits, n_system)
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}: {exc}") from None
+                gates.append(gate)
         branches = None
         if branch_refs:
             branches = {}

@@ -193,8 +193,6 @@ def _cmd_fidelity(args) -> int:
 
 def _cmd_compile(args) -> int:
     protocol = catalog.build_sequential(args.name, args.theta, variant=args.variant)
-    if not protocol.circuits:
-        raise ValueError(f"{args.name} has no compiled circuits")
     circuits = protocol.circuits
     if args.index is not None:
         if not 0 <= args.index < len(circuits):

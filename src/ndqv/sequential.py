@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,6 +176,10 @@ class Protocol:
                 raise ValueError(f"setting {s.label!r} dimension mismatch")
             if linalg.max_abs(s.projector @ psi - psi) > ATOL_FIX:
                 raise ValueError(f"setting {s.label!r} does not fix the target")
+            if s.weight is not None:
+                states.check_real(s.weight, f"setting {s.label!r} weight")
+                if not math.isfinite(s.weight):
+                    raise ValueError(f"setting {s.label!r} has non-finite weight {s.weight!r}")
             if self.kind == "strategy":
                 if s.weight is None or s.weight <= 0:
                     raise ValueError(

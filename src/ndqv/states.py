@@ -92,12 +92,19 @@ def two_qubit_pure(theta: float) -> TargetState:
     theta is restricted to the open interval (0, pi/4); the endpoints give a
     product state and the maximally entangled pair, both excluded.
     """
+    check_real(theta, "theta")
     if not 0.0 < theta < math.pi / 4:
         raise ValueError(f"theta must lie in (0, pi/4), got {theta}")
     v = np.zeros(4, dtype=complex)
     v[0] = math.sin(theta)
     v[3] = math.cos(theta)
     return TargetState(label="two_qubit", n_qubits=2, vector=v)
+
+
+def check_real(value, name: str) -> None:
+    """Refuse a bool or anything but a real number, naming the value."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 def check_ghz_size(n: int) -> None:
@@ -379,8 +386,7 @@ class NoiseSpec:
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         eps = self.epsilon
-        if isinstance(eps, bool) or not isinstance(eps, (int, float, np.integer, np.floating)):
-            raise ValueError(f"epsilon must be a real number, got {eps!r}")
+        check_real(eps, "epsilon")
         if not 0.0 <= eps < 1.0:
             raise ValueError(f"epsilon must lie in [0, 1), got {eps!r}")
         seed = self.seed

@@ -101,10 +101,30 @@ def test_sequential_ghz_sizes():
     p3 = catalog.build_sequential("ghz3")
     assert len(p3.circuits) == 3
     p5 = catalog.build_sequential("ghz5")
-    assert p5.circuits is None
+    assert len(p5.circuits) == 5
     assert len(p5.settings) == 5
     eff = seq.effective_operator(p5)
     assert linalg.max_abs(eff - p5.target.projector()) < 1e-12
+
+
+def test_every_ghz_size_carries_labelled_parity_circuits():
+    for n in range(2, 11):
+        protocol = catalog.build_sequential(f"ghz{n}")
+        words = [s.word for s in protocol.settings]
+        assert [c.label for c in protocol.circuits] == [
+            f"ghz{n}_{w[1:].lower()}" for w in words
+        ]
+        assert all((c.n_qubits, c.n_system) == (n + 1, n) for c in protocol.circuits)
+        if n != 3:
+            assert tuple(words) == strategies.ghz_generator_spec(n).generators
+
+
+def test_ghz3_keeps_its_pinned_stage_order():
+    # ghz_generator_spec(3) lists the Z pairs the other way round
+    assert strategies.ghz_generator_spec(3).generators == ("+XXX", "+ZZI", "+ZIZ")
+    protocol = catalog.sequential_ghz3()
+    assert [s.word for s in protocol.settings] == ["+XXX", "+ZIZ", "+ZZI"]
+    assert [c.label for c in protocol.circuits] == ["ghz3_xxx", "ghz3_ziz", "ghz3_zzi"]
 
 
 def test_sequential_selector_errors():

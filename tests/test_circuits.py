@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -70,14 +72,19 @@ def test_forced_impossible_outcome_raises():
 
 
 def test_uniform_exhaustion_raises():
-    ghz = circ.compile_ghz3()[0]
+    ghz = circ.compile_stabilizer(["+XXX"], ["ghz3_xxx"])[0]
     vec = circ.fresh_input(ghz, states.ghz(3).vector)
     with pytest.raises(ValueError, match="ran out"):
         circ.apply(ghz, vec, uniforms=[])
 
 
+def _unitary_part(circuit):
+    gates = [g for g in circuit.gates if g.kind != "MZ"]
+    return circ.Circuit(circuit.n_qubits, circuit.n_system, gates)
+
+
 def test_circuit_unitary_matches_coupling():
-    parity = circ.compile_bell()[0].without_measurements()
+    parity = _unitary_part(circ.compile_bell()[0])
     u = circ.circuit_unitary(parity)
     omega = strategies.bell_minimal().settings[0].projector
     setting = seq.build_qnd_setting(omega)
@@ -94,6 +101,51 @@ def test_pass_kraus_bell():
     for circuit, setting in zip(circ.compile_bell(), protocol_strat.settings):
         engine = seq.build_qnd_setting(setting.projector)
         assert linalg.max_abs(circ.pass_kraus(circuit) - engine.m_pass) < 1e-12
+
+
+def test_compile_stabilizer_builds_the_textbook_parity_check():
+    (check,) = circ.compile_stabilizer(["+XIZ"], ["xiz"])
+    assert (check.n_qubits, check.n_system, check.label) == (4, 3, "xiz")
+    assert [(g.kind, g.qubits) for g in check.gates] == [
+        ("H", (0,)), ("CNOT", (2, 3)), ("CNOT", (0, 3)), ("H", (0,)), ("MZ", (3,)),
+    ]
+    with pytest.raises(ValueError, match="1 labels for 2 words"):
+        circ.compile_stabilizer(["+XX", "+ZZ"], ["w"])
+
+
+@pytest.mark.parametrize("word", ["+XYZ", "-XXX", "XXX", "+", "+XQ"])
+def test_compile_stabilizer_refuses_words_it_cannot_check(word):
+    with pytest.raises(ValueError, match=re.escape(repr(word))):
+        circ.compile_stabilizer([word], ["w"])
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_generated_ghz_pass_kraus_matches_the_engine(n):
+    protocol = catalog.build_sequential(f"ghz{n}")
+    for circuit, setting in zip(protocol.circuits, protocol.settings):
+        assert linalg.max_abs(circ.pass_kraus(circuit) - setting.m_pass) < 1e-12
+
+
+def test_circuits_refuse_writes():
+    protocol = catalog.build_sequential("bell")
+    circuit = protocol.circuits[0]
+    with pytest.raises(AttributeError):
+        circuit.gates.clear()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        circuit.gates = ()
+    branching = circ.compile_adaptive(0.5)
+    with pytest.raises(TypeError):
+        branching.branches[0] = circuit
+    rot = np.eye(2, dtype=complex)
+    gate = circ.Gate("U1Q", (0,), matrix=rot)
+    rot[0, 0] = -1.0  # the gate holds its own copy
+    assert gate.matrix[0, 0] == 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        gate.matrix[0, 0] = 2.0
+    table = {0: circuit, 1: circuit}
+    frozen = circ.Circuit(3, 2, [circ.Gate("MZ", (2,))], branches=table)
+    table[0] = None
+    assert frozen.branches[0] is circuit
 
 
 def test_apply_collapses_and_normalizes():
@@ -132,7 +184,9 @@ def test_reject_rule_records_single_event():
 def _catalog_circuits():
     protocols = [
         catalog.build_sequential("bell"),
+        catalog.build_sequential("ghz2"),
         catalog.build_sequential("ghz3"),
+        catalog.build_sequential("ghz4"),
         catalog.build_sequential("two_qubit_three", 0.6),
         catalog.build_sequential("two_qubit_three", 0.6, variant="cnot_pair"),
         catalog.build_sequential("adaptive_two", 0.5),
@@ -224,7 +278,7 @@ def test_gate_matrix_ccx_far_control():
 
 def test_tensor_executor_matches_matrix_form():
     gen = np.random.default_rng(17)
-    circuit = circ.compile_two_qubit(0.6, "toffoli")[1].without_measurements()
+    circuit = _unitary_part(circ.compile_two_qubit(0.6, "toffoli")[1])
     u = circ.circuit_unitary(circuit)
     v = gen.standard_normal(8) + 1j * gen.standard_normal(8)
     v /= np.linalg.norm(v)
@@ -252,6 +306,9 @@ def test_parse_errors_carry_line_numbers():
         circ.parse_circuit("QUBITS 2\nSYSTEM 1\nH 0 1\n")
     with pytest.raises(ValueError, match="line 3"):
         circ.parse_circuit("QUBITS 2\nSYSTEM 1\nCNOT 0\n")
+    # a gate outside the register is reported on its own line
+    with pytest.raises(ValueError, match="line 4: gate H touches a qubit outside"):
+        circ.parse_circuit("QUBITS 2\nSYSTEM 1\nH 0\nH 5\n")
     with pytest.raises(ValueError, match="undefined section"):
         circ.parse_circuit("QUBITS 2\nSYSTEM 1\nMZ 1\nBRANCH 0 -> a\nBRANCH 1 -> a\n")
 

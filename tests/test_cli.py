@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from ndqv import checks, circuits as circ
+from ndqv import catalog, checks, circuits as circ
 from ndqv.cli import main
 
 
@@ -217,10 +217,22 @@ def test_compile_single_index(capsys):
     assert "index must lie" in err
 
 
-def test_compile_without_circuits_fails(capsys):
-    code, _, err = run_cli(capsys, "compile", "ghz5")
-    assert code == 2
-    assert "no compiled circuits" in err
+def test_every_sequential_selector_compiles(capsys):
+    cases = [("bell", None), ("adaptive_two", 0.5), ("two_qubit_three", 0.5)]
+    cases += [(f"ghz{n}", None) for n in range(2, 11)]
+    for name, theta in cases:
+        assert catalog.has_sequential(name)
+        argv = ["compile", name] + ([] if theta is None else ["--theta", str(theta)])
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        labels = re.findall(r"(?m)^# circuit (.*)$", out)
+        blocks = re.split(r"(?m)^# circuit .*\n", out)[1:]
+        protocol = catalog.build_sequential(name, theta)
+        assert labels == [c.label for c in protocol.circuits]
+        assert len(labels) == len(protocol.settings)
+        for block, circuit in zip(blocks, protocol.circuits):
+            text = circ.serialize_circuit(circuit)
+            assert circ.serialize_circuit(circ.parse_circuit(block)) == text
 
 
 def test_check_list_and_subset(capsys):

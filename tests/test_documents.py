@@ -1,9 +1,10 @@
-"""The bytes of every catalog document and of two CLI outputs, pinned.
+"""The bytes of every catalog document and of six CLI outputs, pinned.
 
 Round trips alone would accept a serializer that changed its layout on both
 sides. These digests hold the layout itself: sha256 of
 ``json.dumps(to_dict(p), sort_keys=True)`` for each catalog protocol, and of
-the ``compile ghz3`` and ``check`` text outputs.
+the ``compile`` outputs of the hand-checked circuits and of the ``check``
+text output.
 """
 import hashlib
 import json
@@ -42,6 +43,10 @@ SEQUENTIAL_DIGESTS = {
 
 CLI_DIGESTS = {
     ("compile", "ghz3"): "ffbe0c8a2405908ebd48301b04ee38677166b2870018e15beb6d8afa0e47dae3",
+    ("compile", "bell"): "1e27ba1cd86ca6e56ae83b0aea1945ebf4aefb18c6fb746e2587ab7708e6cc62",
+    ("compile", "adaptive_two", "--theta", "0.5"): "366522347935c692268955b2317deea0b49f8d60ea7d270eb5856e32692e5376",
+    ("compile", "two_qubit_three", "--theta", "0.55", "--variant", "toffoli"): "80a978e86a9d491942a3a11f2f52a92c890bda571a58fbf87760eaa91e3e2a60",
+    ("compile", "two_qubit_three", "--theta", "0.55", "--variant", "cnot_pair"): "80b94edd71cd53f40f386c14ddd319088cac0deb621cebf00a9e1f9cbd1c7b22",
     ("check", "--format", "text"): "6d1e34e78bc77d6a019f1a252725f1b5ee8776d7425820447d9e95af730300dd",
 }
 

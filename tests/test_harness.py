@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -200,7 +201,7 @@ def test_circuit_backend_needs_sequential():
 
 
 def test_circuit_backend_needs_compiled_circuits():
-    proto = catalog.build_sequential("ghz4")
+    proto = dataclasses.replace(catalog.build_sequential("ghz4"), circuits=None)
     spec = harness.ExperimentSpec(proto, _pure(), 10, 1, backend="circuit")
     with pytest.raises(ValueError, match="compiled circuits"):
         harness.run_experiment(spec)
@@ -624,6 +625,23 @@ _CIRCUIT_NOISES = {
     "worst_case": _worst(0.3),
     "random": NoiseSpec("random_orthogonal", 0.3, seed=4),
 }
+
+
+@pytest.mark.parametrize("n", [2, 4, 5])
+def test_generated_ghz_circuits_report_like_the_matrix_backend(n):
+    protocol = catalog.build_sequential(f"ghz{n}")
+    for noise, mode, seed in itertools.product(_CIRCUIT_NOISES.values(), harness.MODES, (0, 7)):
+        reports = [
+            harness.report_to_dict(
+                harness.run_experiment(
+                    harness.ExperimentSpec(protocol, noise, 2000, seed, backend, mode)
+                )
+            )
+            for backend in harness.BACKENDS
+        ]
+        for report in reports:
+            report.pop("backend")
+        assert reports[0] == reports[1]
 
 
 # Every protocol and noise at n = 1 and 7; at n = 300, where the reference

@@ -51,9 +51,20 @@ def test_bell_state():
     assert linalg.is_projector(bell.projector())
 
 
+@pytest.mark.parametrize("theta", ["0.5", 0.5 + 0j, True])
+def test_two_qubit_theta_must_be_a_real_number(theta):
+    # "0.5" used to raise a TypeError from the range comparison
+    message = re.escape(f"theta must be a real number, got {theta!r}")
+    for build in (states.two_qubit_pure, strategies.two_qubit_three):
+        with pytest.raises(ValueError, match=message):
+            build(theta)
+    with pytest.raises(ValueError, match=message):
+        catalog.build_strategy("two_qubit_three", theta)
+
+
 def test_two_qubit_pure_domain():
-    for bad in (0.0, math.pi / 4, -0.1, 1.0):
-        with pytest.raises(ValueError):
+    for bad in (0.0, math.pi / 4, -0.1, 1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=re.escape(f"got {bad}")):
             states.two_qubit_pure(bad)
     v = states.two_qubit_pure(0.3).vector
     assert abs(v[0] - math.sin(0.3)) < 1e-15

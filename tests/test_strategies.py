@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,17 @@ def test_strategy_validation_weights():
         _strategy(target, Setting("a", proj, 1.5), Setting("b", proj, -0.5))
     with pytest.raises(ValueError, match="non-positive"):
         _strategy(target, Setting("a", proj))
+
+
+@pytest.mark.parametrize(
+    "weight", [float("nan"), float("inf"), True, np.bool_(True), "1.0", 1.0 + 0j]
+)
+def test_strategy_refuses_a_weight_that_is_not_a_finite_real(weight):
+    # nan used to reach the gap, which refused a "non-Hermitian" operator;
+    # True ran as weight 1 and "1.0" raised a TypeError
+    target = states.bell_state()
+    with pytest.raises(ValueError, match=re.escape(repr(weight))):
+        _strategy(target, Setting("a", target.projector(), weight))
 
 
 def test_strategy_validation_fixing():
